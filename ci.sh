@@ -26,24 +26,31 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> benches compile"
 cargo build --offline -p mei-bench --benches
 
+echo "==> perfbench build + tests (the repo benchmark, its own workspace)"
+# The benchmark package links the runtime crates by path, so a runtime
+# API change that breaks it fails here rather than only in a benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> throughput bench smoke (ramp-to-knee, TCP + wire protocol v2)"
 # FAST mode shrinks training, windows, and the open-loop ramp; the bench
-# drives the same ramp through the TCP front-end over 127.0.0.1, then
-# measures v1 strict vs v2 pipelined over the event-driven server and
+# drives the same ramp as v1 lines through the event server over
+# 127.0.0.1, then measures v1 strict vs v2 pipelined on one connection and
 # writes the standalone v2 report. The report must be strict JSON.
 MEI_BENCH_FAST=1 MEI_BENCH_SECONDS=0.5 \
     MEI_BENCH_JSON_V2=target/BENCH_serving_v2_smoke.json \
     cargo run --release --offline -p mei-bench --bin throughput > /dev/null
 test -s target/BENCH_serving_v2_smoke.json
 
-echo "==> wire protocol v2 smoke (negotiation, pipelining, worker-count bit identity)"
-# The serving_engine suite pins v1 ≡ v2 bits, 1 ≡ 4 event workers, idle-
-# connection capacity, and in-band corrupt-frame recovery; json_validity
-# re-validates every committed results/BENCH_*.json plus the emitters.
+echo "==> serving suite (engine ≡ one-pool fleet ≡ v1 fallback ≡ v2 bits, worker-count identity)"
+# The serving_engine suite pins in-process engine ≡ one-pool fleet ≡ v1
+# fallback ≡ v2 bits, 1 ≡ 4 event workers, idle-connection capacity, and
+# in-band corrupt-frame recovery; json_validity re-validates every
+# committed results/BENCH_*.json plus the emitters.
 cargo test -q --offline --test serving_engine > /dev/null
 cargo test -q --offline -p mei-bench --test json_validity > /dev/null
 
-echo "==> TCP front-end smoke (loopback round trip, in-band errors, shutdown)"
+echo "==> TCP front-end smoke (v1 fallback + v2 on one event server, in-band errors, shutdown)"
 cargo run --release --offline --example serve_tcp > /dev/null
 
 echo "==> drift + admission bench smoke (online recalibration, knee-derived gate)"

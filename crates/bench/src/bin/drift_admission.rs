@@ -37,50 +37,21 @@
 //!
 //! Run with: `cargo run --release -p mei-bench --bin drift_admission`
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mei::{manufacture_drifting_engine, manufacture_engine, MeiConfig, MeiRcs};
+use mei_bench::load::{closed_rate, open_phase, schedule};
 use mei_bench::ramp::{ramp_to_knee, RampConfig};
 use mei_bench::{
     fast_mode, format_table, measure_window, table1_setups, ExperimentConfig,
     EXPERIMENT_WRITE_SIGMA,
 };
 use neural::TrainConfig;
-use runtime::{
-    json_num, AdmittedOutcome, Chip, DriftProfile, DriftingChip, Engine, ServeStats, SizeAware,
-};
+use runtime::{json_num, AdmittedOutcome, Chip, DriftProfile, DriftingChip, Engine, SizeAware};
 
 const CHIPS: usize = 4;
 const DRIFT_WINDOWS: u64 = 2;
 const ADMIT_HEADROOM: f64 = 3.0;
-
-/// Uniform open-loop request schedule at `rate` req/s over `window`.
-fn schedule(inputs: &[Vec<f64>], rate: f64, window: Duration) -> (Vec<Vec<f64>>, Vec<Duration>) {
-    let spacing = Duration::from_secs_f64(1.0 / rate.max(1.0));
-    let n = ((window.as_secs_f64() * rate).ceil() as usize).max(1);
-    let requests: Vec<Vec<f64>> = (0..n).map(|i| inputs[i % inputs.len()].clone()).collect();
-    let arrivals: Vec<Duration> = (0..n).map(|i| spacing * i as u32).collect();
-    (requests, arrivals)
-}
-
-fn open_phase<C: Chip>(
-    engine: &Engine<C>,
-    inputs: &[Vec<f64>],
-    rate: f64,
-    window: Duration,
-) -> ServeStats {
-    let (requests, arrivals) = schedule(inputs, rate, window);
-    engine.serve_open_loop(&requests, &arrivals).stats
-}
-
-fn closed_rate<C: Chip>(engine: &Engine<C>, inputs: &[Vec<f64>], window: Duration) -> f64 {
-    let start = Instant::now();
-    let mut requests = 0usize;
-    while start.elapsed() < window {
-        requests += engine.serve(inputs).outputs.len();
-    }
-    requests as f64 / start.elapsed().as_secs_f64()
-}
 
 fn gated_phase<C: Chip>(
     engine: &Engine<C>,

@@ -39,6 +39,7 @@
 use std::time::Duration;
 
 use mei::{manufacture_fleet, MeiConfig, MeiRcs};
+use mei_bench::load::schedule;
 use mei_bench::ramp::{ramp_to_knee, sla_search, RampConfig, SlaConfig};
 use mei_bench::{
     fast_mode, format_table, measure_window, table1_setups, ExperimentConfig,
@@ -50,15 +51,6 @@ use runtime::{json_num, Chip, Fleet, FleetConfig, ServeStats};
 
 const CHIPS_PER_POOL: usize = 2;
 const WORKLOAD: &str = "inversek2j";
-
-/// Uniform open-loop schedule at `rate` req/s over `window`.
-fn schedule(inputs: &[Vec<f64>], rate: f64, window: Duration) -> (Vec<Vec<f64>>, Vec<Duration>) {
-    let spacing = Duration::from_secs_f64(1.0 / rate.max(1.0));
-    let n = ((window.as_secs_f64() * rate).ceil() as usize).max(1);
-    let requests: Vec<Vec<f64>> = (0..n).map(|i| inputs[i % inputs.len()].clone()).collect();
-    let arrivals: Vec<Duration> = (0..n).map(|i| spacing * i as u32).collect();
-    (requests, arrivals)
-}
 
 /// Serve one pool an open-loop load and return its stats (with measured
 /// energy attached by the engine).

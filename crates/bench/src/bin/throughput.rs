@@ -10,9 +10,9 @@
 //!    (`mei_bench::ramp`) walks the arrival rate up on the largest pool
 //!    until p99 latency knees, reporting the knee rate and p50/p99 there
 //!    instead of a blind fixed-utilization point;
-//! 3. **loopback-TCP knee** — the same ramp driven through
-//!    `runtime::net` over 127.0.0.1, a real socket round-trip per
-//!    request;
+//! 3. **loopback-TCP knee** — the same ramp driven through the
+//!    `runtime::net` event server's v1 text fallback over 127.0.0.1, a
+//!    real socket round-trip per request;
 //! 4. **wire protocol v2** — one client against the event-driven server
 //!    over loopback, closed loop: strict v1 text round trips versus
 //!    pipelined v2 binary batches, reporting both requests/sec and the
@@ -46,6 +46,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use mei::{manufacture_chips, MeiConfig, MeiRcs};
+use mei_bench::load::{closed_rate, open_phase, schedule};
 use mei_bench::ramp::{ramp_to_knee, RampConfig, RampReport};
 use mei_bench::{
     fast_mode, format_table, measure_window, table1_setups, ExperimentConfig,
@@ -53,38 +54,11 @@ use mei_bench::{
 };
 use neural::TrainConfig;
 use runtime::net::frame::ItemResponse;
-use runtime::net::{
-    Client, ClientV2, EventServer, EventServerConfig, NetWorkload, Response, Server, ServerConfig,
-};
+use runtime::net::{Client, ClientV2, EventServer, EventServerConfig, NetWorkload, Response};
 use runtime::{
     json_num, resolve_threads, Chip, ChipPool, CostModel, Engine, LeastLoaded, RoundRobin,
     ServeStats, SizeAware,
 };
-
-/// Closed phase: serve saturating batches until the window elapses.
-fn closed_phase<C: Chip>(engine: &Engine<C>, inputs: &[Vec<f64>], window: Duration) -> f64 {
-    let start = Instant::now();
-    let mut requests = 0usize;
-    while start.elapsed() < window {
-        let outcome = engine.serve(inputs);
-        requests += outcome.outputs.len();
-    }
-    requests as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Open phase: uniform arrivals at `rate` req/s for the window.
-fn open_phase<C: Chip>(
-    engine: &Engine<C>,
-    inputs: &[Vec<f64>],
-    rate: f64,
-    window: Duration,
-) -> ServeStats {
-    let spacing = Duration::from_secs_f64(1.0 / rate.max(1.0));
-    let n = ((window.as_secs_f64() * rate).ceil() as usize).max(1);
-    let requests: Vec<Vec<f64>> = (0..n).map(|i| inputs[i % inputs.len()].clone()).collect();
-    let arrivals: Vec<Duration> = (0..n).map(|i| spacing * i as u32).collect();
-    engine.serve_open_loop(&requests, &arrivals).stats
-}
 
 /// Open phase over loopback TCP: a paced writer thread sends requests at
 /// their scheduled arrival times over one connection; this thread reads
@@ -99,19 +73,18 @@ fn tcp_open_phase(
     rate: f64,
     window: Duration,
 ) -> ServeStats {
-    let spacing = Duration::from_secs_f64(1.0 / rate.max(1.0));
-    let n = ((window.as_secs_f64() * rate).ceil() as usize).max(1);
+    let (requests, arrivals) = schedule(inputs, rate, window);
+    let n = requests.len();
     let stream = TcpStream::connect(addr).expect("connect to bench server");
     stream.set_nodelay(true).expect("nodelay");
     let reader_half = stream.try_clone().expect("clone stream");
 
     let epoch = Instant::now();
-    let writer_inputs: Vec<&Vec<f64>> = (0..n).map(|i| &inputs[i % inputs.len()]).collect();
+    let (requests, arrivals) = (&requests, &arrivals);
     std::thread::scope(|scope| {
         scope.spawn(move || {
             let mut writer = BufWriter::new(stream);
-            for (i, input) in writer_inputs.iter().enumerate() {
-                let due = spacing * i as u32;
+            for (input, &due) in requests.iter().zip(arrivals) {
                 let now = epoch.elapsed();
                 if due > now {
                     std::thread::sleep(due - now);
@@ -129,12 +102,11 @@ fn tcp_open_phase(
         let mut per_chip: Vec<(usize, usize, usize, Duration)> =
             vec![(0, 0, 0, Duration::ZERO); chips];
         let mut line = String::new();
-        for i in 0..n {
+        for &arrival in arrivals {
             line.clear();
             let bytes = reader.read_line(&mut line).expect("read response");
             assert!(bytes > 0, "server closed mid-ramp");
             let done = epoch.elapsed();
-            let arrival = spacing * i as u32;
             latencies.push(done.saturating_sub(arrival));
             match Response::parse(line.trim_end()).expect("well-formed response") {
                 Response::Ok {
@@ -354,7 +326,7 @@ fn main() {
             EXPERIMENT_WRITE_SIGMA,
             cfg.seed,
         ));
-        closed.push((chips, closed_phase(&engine, &inputs, window)));
+        closed.push((chips, closed_rate(&engine, &inputs, window)));
     }
     let rows: Vec<Vec<String>> = closed
         .iter()
@@ -399,15 +371,16 @@ fn main() {
         knee_table("in_process", &in_process)
     );
 
-    // Phase 3: the same ramp through the TCP front-end over loopback.
-    let server = Server::bind(
+    // Phase 3: the same ramp through the TCP front-end over loopback, as
+    // v1 text lines over the event server's fallback.
+    let server = EventServer::bind(
         "127.0.0.1:0",
         vec![NetWorkload::new(
             "inversek2j",
             input_dim,
             Engine::new(manufacture_chips(&mei, largest, EXPERIMENT_WRITE_SIGMA, cfg.seed).boxed()),
         )],
-        ServerConfig::default(),
+        EventServerConfig::default(),
     )
     .expect("bind loopback server");
     let addr = server.addr();
@@ -502,7 +475,7 @@ fn main() {
         setup.mei_hidden * 6,
         calibration.to_json()
     );
-    let mixed_closed = closed_phase(
+    let mixed_closed = closed_rate(
         &Engine::new(build()).with_policy(LeastLoaded),
         &inputs,
         window,

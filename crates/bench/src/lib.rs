@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod json;
+pub mod load;
 pub mod ramp;
 pub mod timing;
 

@@ -11,29 +11,20 @@
 //! * [`ChipPool::manufacture`] builds N chips, handing each factory call a
 //!   seed derived from `(root_seed, chip_index)` via [`prng::substream`] —
 //!   chip `i` is the same device on every run and for every pool size ≥ i;
-//! * [`ChipPool::serve`] / [`ChipPool::serve_open_loop`] split a request
-//!   batch across per-chip FIFO queues under a [`Placement`] policy and
-//!   run one worker thread per chip;
-//! * placement is decided up front from request *cost* (input length), so
-//!   the request → chip assignment — and therefore every output bit — is
-//!   a pure function of the batch, never of thread timing.
-//!
-//! The serve entry points here are **thin adapters**: [`Placement`] maps
-//! onto the [`PlacementPolicy`](crate::PlacementPolicy) trait
-//! ([`Placement::policy`]) and the execution lives in
-//! [`Engine`](crate::Engine). Code that wants calibrated cost models,
-//! the size-aware policy, coalescing control, or streaming sessions
-//! should build an `Engine` directly; these adapters exist so existing
-//! callers keep their exact placement behaviour.
+//! * [`Engine`](crate::Engine) serves the pool: it splits a request batch
+//!   across per-chip FIFO queues under a
+//!   [`PlacementPolicy`](crate::PlacementPolicy) and runs one worker
+//!   thread per chip;
+//! * placement is decided up front from request *cost*, so the request →
+//!   chip assignment — and therefore every output bit — is a pure
+//!   function of the batch, never of thread timing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rram::RetentionModel;
 
 use crate::accounting::{ChipCostSheet, PoolAccounting};
-use crate::engine::run_batch;
-use crate::policy::{self, CostModel, LeastLoaded, PlacementPolicy, RoundRobin};
 use crate::stats::ServeStats;
 
 /// Anything the pool can serve requests on. One chip is used by exactly
@@ -287,34 +278,6 @@ impl<C: Chip> Chip for DriftingChip<C> {
     }
 }
 
-/// How requests are placed onto chips — the legacy enum, kept as a thin
-/// adapter over the [`PlacementPolicy`] trait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// Request `i` goes to chip `i mod N`.
-    RoundRobin,
-    /// Each request (in order) goes to the chip with the least total
-    /// assigned cost so far — cost being the request's input length, a
-    /// proxy for its service time. Ties break toward the lowest chip id
-    /// (see the tie-breaking contract in [`crate::policy`]), so the
-    /// assignment is deterministic.
-    LeastLoaded,
-}
-
-impl Placement {
-    /// The trait-object equivalent of this enum variant. Placement
-    /// computed through the returned policy (over the
-    /// [`CostModel::input_length`] proxy) is bit-identical to what the
-    /// enum historically produced.
-    #[must_use]
-    pub fn policy(self) -> &'static dyn PlacementPolicy {
-        match self {
-            Placement::RoundRobin => &RoundRobin,
-            Placement::LeastLoaded => &LeastLoaded,
-        }
-    }
-}
-
 /// What a serve run returns: outputs in request order plus the run's
 /// statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -437,78 +400,14 @@ impl<C: Chip> ChipPool<C> {
     pub fn accounting(&self) -> PoolAccounting {
         PoolAccounting::from_sheets(&self.cost_sheets())
     }
-
-    /// The deterministic request → chip assignment a serve run will use:
-    /// `assignment[i]` is the chip id serving request `i`. Exposed so
-    /// callers (and tests) can reason about placement without timing.
-    #[must_use]
-    pub fn assignment(&self, costs: &[usize], placement: Placement) -> Vec<usize> {
-        policy::assign_batch(
-            costs,
-            placement.policy(),
-            &CostModel::input_length(self.chips.len()),
-        )
-    }
-
-    /// Serve a closed batch: every request is ready at time zero. Outputs
-    /// come back in request order; request latency is measured from the
-    /// start of the run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is empty.
-    #[must_use]
-    pub fn serve(&self, inputs: &[Vec<f64>], placement: Placement) -> ServeOutcome {
-        self.run(inputs, None, placement)
-    }
-
-    /// Serve an open-loop load: request `i` *arrives* at `arrivals[i]`
-    /// (offsets from the start of the run) and may not start earlier, as
-    /// in an open-loop throughput benchmark; latency is completion minus
-    /// arrival, so queueing delay is included.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is empty or the lengths differ.
-    #[must_use]
-    pub fn serve_open_loop(
-        &self,
-        inputs: &[Vec<f64>],
-        arrivals: &[Duration],
-        placement: Placement,
-    ) -> ServeOutcome {
-        assert_eq!(
-            inputs.len(),
-            arrivals.len(),
-            "one arrival offset per request"
-        );
-        self.run(inputs, Some(arrivals), placement)
-    }
-
-    fn run(
-        &self,
-        inputs: &[Vec<f64>],
-        arrivals: Option<&[Duration]>,
-        placement: Placement,
-    ) -> ServeOutcome {
-        assert!(!inputs.is_empty(), "a serve run needs requests");
-        let costs: Vec<usize> = inputs.iter().map(Vec::len).collect();
-        let assignment = self.assignment(&costs, placement);
-        run_batch(
-            &self.chips,
-            inputs,
-            arrivals,
-            &assignment,
-            0,
-            placement.policy().name(),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
+    use crate::engine::Engine;
+    use crate::policy::{LeastLoaded, RoundRobin};
+    use std::time::{Duration, Instant};
 
     /// A toy chip: output = input scaled by a per-chip factor derived from
     /// the manufacture seed, so different chips are distinguishable.
@@ -526,6 +425,14 @@ mod tests {
         ChipPool::manufacture(77, n, |_, seed| ToyChip {
             scale: 1.0 + (seed % 1000) as f64 / 1000.0,
         })
+    }
+
+    fn round_robin(n: usize) -> Engine<ToyChip> {
+        Engine::new(toy_pool(n)).with_policy(RoundRobin)
+    }
+
+    fn least_loaded(n: usize) -> Engine<ToyChip> {
+        Engine::new(toy_pool(n)).with_policy(LeastLoaded)
     }
 
     #[test]
@@ -553,69 +460,62 @@ mod tests {
 
     #[test]
     fn round_robin_cycles_over_chips() {
-        let pool = toy_pool(3);
         let costs = [1usize; 7];
-        assert_eq!(
-            pool.assignment(&costs, Placement::RoundRobin),
-            vec![0, 1, 2, 0, 1, 2, 0]
-        );
+        assert_eq!(round_robin(3).assignment(&costs), vec![0, 1, 2, 0, 1, 2, 0]);
     }
 
     #[test]
     fn least_loaded_balances_uneven_costs() {
-        let pool = toy_pool(2);
         // Costs 10, 1, 1, 1: after the big request lands on chip 0, the
         // small ones should all go to chip 1 until it catches up.
-        let assignment = pool.assignment(&[10, 1, 1, 1], Placement::LeastLoaded);
+        let assignment = least_loaded(2).assignment(&[10, 1, 1, 1]);
         assert_eq!(assignment, vec![0, 1, 1, 1]);
     }
 
-    /// The documented least-loaded tie-break (lowest chip index wins) at
-    /// the enum adapter level: equal-cost requests sweep the chips in
-    /// index order, exactly as before the policy refactor.
+    /// The documented least-loaded tie-break (lowest chip index wins)
+    /// over the input-length proxy: equal-cost requests sweep the chips
+    /// in index order.
     #[test]
     fn least_loaded_tie_break_is_lowest_chip_index() {
-        let pool = toy_pool(3);
         let costs = [4usize; 7];
         assert_eq!(
-            pool.assignment(&costs, Placement::LeastLoaded),
+            least_loaded(3).assignment(&costs),
             vec![0, 1, 2, 0, 1, 2, 0]
         );
     }
 
     #[test]
     fn outputs_come_back_in_request_order() {
-        let pool = toy_pool(3);
+        let engine = round_robin(3);
         let inputs: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
-        let outcome = pool.serve(&inputs, Placement::RoundRobin);
+        let outcome = engine.serve(&inputs);
         assert_eq!(outcome.outputs.len(), 10);
         for (i, out) in outcome.outputs.iter().enumerate() {
             let chip = i % 3;
-            let expected = inputs[i][0] * pool.chips()[chip].scale;
+            let expected = inputs[i][0] * engine.pool().chips()[chip].scale;
             assert_eq!(out, &vec![expected], "request {i}");
         }
     }
 
     #[test]
     fn serve_results_are_identical_across_runs_and_placements_agree() {
-        let pool = toy_pool(2);
+        let engine = round_robin(2);
         let inputs: Vec<Vec<f64>> = (0..9).map(|i| vec![i as f64, 1.0]).collect();
-        let a = pool.serve(&inputs, Placement::RoundRobin);
-        let b = pool.serve(&inputs, Placement::RoundRobin);
+        let a = engine.serve(&inputs);
+        let b = engine.serve(&inputs);
         assert_eq!(a.outputs, b.outputs, "same pool, same batch → same bits");
         // Equal-cost requests: least-loaded degenerates to round-robin.
         let costs = vec![2usize; 9];
         assert_eq!(
-            pool.assignment(&costs, Placement::LeastLoaded),
-            pool.assignment(&costs, Placement::RoundRobin)
+            least_loaded(2).assignment(&costs),
+            engine.assignment(&costs)
         );
     }
 
     #[test]
     fn stats_cover_every_chip_and_request() {
-        let pool = toy_pool(4);
         let inputs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
-        let outcome = pool.serve(&inputs, Placement::RoundRobin);
+        let outcome = round_robin(4).serve(&inputs);
         let stats = &outcome.stats;
         assert_eq!(stats.requests, 20);
         assert_eq!(stats.policy, "round_robin");
@@ -751,7 +651,9 @@ mod tests {
         assert_eq!((acc.chips, acc.known_chips), (2, 1));
         assert_eq!(acc.area_um2, 1000.0);
         // The serve path attaches measured energy for the billed chip only.
-        let outcome = pool.serve(&[vec![1.0], vec![2.0]], Placement::RoundRobin);
+        let outcome = Engine::new(pool)
+            .with_policy(RoundRobin)
+            .serve(&[vec![1.0], vec![2.0]]);
         let energy = outcome.stats.energy.expect("one billed chip");
         assert_eq!(energy.known_chips, 1);
         assert!(energy.joules > 0.0);
@@ -761,7 +663,6 @@ mod tests {
 
     #[test]
     fn open_loop_respects_arrival_times() {
-        let pool = toy_pool(1);
         let inputs: Vec<Vec<f64>> = (0..3).map(|i| vec![i as f64]).collect();
         let arrivals = vec![
             Duration::ZERO,
@@ -769,7 +670,7 @@ mod tests {
             Duration::from_millis(10),
         ];
         let epoch = Instant::now();
-        let outcome = pool.serve_open_loop(&inputs, &arrivals, Placement::RoundRobin);
+        let outcome = round_robin(1).serve_open_loop(&inputs, &arrivals);
         // The run cannot finish before the last arrival.
         assert!(epoch.elapsed() >= Duration::from_millis(10));
         assert_eq!(outcome.outputs.len(), 3);

@@ -1,9 +1,7 @@
 //! The serving engine: a chip pool bound to a placement policy, a cost
 //! model, and a coalescing discipline.
 //!
-//! [`Engine`] is the layered replacement for the monolithic
-//! `ChipPool::serve(placement)` entry points (which survive as thin
-//! adapters over this module):
+//! [`Engine`] is the one in-process front door to a [`ChipPool`]:
 //!
 //! ```text
 //! requests ──▶ CostModel ──▶ PlacementPolicy ──▶ per-chip queues ──▶ Chip::infer
@@ -670,14 +668,13 @@ pub struct Served {
 
 /// Execute a pre-assigned batch on one worker thread per chip, coalescing
 /// contiguous already-arrived requests into back-to-back runs (capped at
-/// `coalesce` when non-zero). Shared by [`Engine`] and the legacy
-/// `ChipPool::serve` adapters.
+/// `coalesce` when non-zero).
 ///
 /// # Panics
 ///
 /// Panics if `inputs` is empty or `assignment` length differs.
 #[must_use]
-pub(crate) fn run_batch<C: Chip>(
+fn run_batch<C: Chip>(
     chips: &[C],
     inputs: &[Vec<f64>],
     arrivals: Option<&[Duration]>,

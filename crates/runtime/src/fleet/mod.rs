@@ -45,6 +45,8 @@ pub mod router;
 
 pub use health::{EjectReason, HealthPolicy, PoolHealth, Transition};
 
+use std::borrow::Cow;
+
 use crate::chip::Chip;
 use crate::engine::{BatchItem, Engine, Offer, Served, Session};
 
@@ -537,7 +539,13 @@ impl<C: Chip> Fleet<C> {
                 continue;
             }
             let slot = &self.pools[pool];
-            let sub_inputs: Vec<Vec<f64>> = requests.iter().map(|&r| inputs[r].clone()).collect();
+            // A pool that drew the whole batch (always, in a one-pool
+            // fleet) serves the caller's inputs without a copy.
+            let sub_inputs: Cow<'_, [Vec<f64>]> = if requests.len() == inputs.len() {
+                Cow::Borrowed(inputs)
+            } else {
+                Cow::Owned(requests.iter().map(|&r| inputs[r].clone()).collect())
+            };
             let sub_items = slot.engine.serve_session_batch(
                 &mut session.sessions[pool],
                 &sub_inputs,

@@ -18,16 +18,17 @@
 //!   trainer's per-mini-batch shards) pays a condvar wake per round
 //!   instead of a thread spawn.
 //! * [`ChipPool`] — N independently manufactured [`Chip`] instances (each
-//!   with its own `(root_seed, chip_index)`-derived write-noise draw)
-//!   with legacy [`Placement`] serve adapters.
-//! * [`Engine`] — the layered serving stack: a [`PlacementPolicy`]
+//!   with its own `(root_seed, chip_index)`-derived write-noise draw).
+//! * [`Engine`] — the one in-process front door to a pool: a [`PlacementPolicy`]
 //!   ([`RoundRobin`], [`LeastLoaded`], [`SizeAware`]) over a [`CostModel`]
 //!   (unit input-length proxy, or [`CostModel::calibrate`]d from measured
 //!   per-chip inference times), request coalescing, batch and open-loop
 //!   runs, and streaming [`Session`]s for request-at-a-time sources.
-//! * [`net`] — a hermetic `std::net` TCP front-end: a line-oriented
-//!   protocol ([`net::Server`] / [`net::Client`]) serving engines to
-//!   clients outside the process, one placement session per connection.
+//! * [`net`] — a hermetic `std::net` TCP front-end: one event-driven
+//!   [`net::EventServer`] speaking binary v2 frames ([`net::ClientV2`])
+//!   with a v1 text fallback ([`net::Client`]), serving fleets (an
+//!   engine is a one-pool fleet) to clients outside the process, one
+//!   routing session per connection.
 //! * [`DriftingChip`] + [`Engine::recalibrate_window`] — deterministic
 //!   retention-drift injection (per-window, `rram::retention` power law)
 //!   and versioned online cost refresh, so placement re-routes around
@@ -82,7 +83,7 @@ pub mod stats;
 pub use accounting::{ChipCostSheet, EnergyStats, FleetAccounting, PoolAccounting};
 pub use admission::{AdmissionConfig, AdmittedOutcome, Decision, Gate, GateStats};
 pub use affinity::{pin_worker, AffinityMode};
-pub use chip::{Chip, ChipPool, DriftProfile, DriftingChip, Placement, ServeOutcome};
+pub use chip::{Chip, ChipPool, DriftProfile, DriftingChip, ServeOutcome};
 pub use crew::Crew;
 pub use engine::{BatchItem, Engine, Offer, Served, Session, MODEL_HISTORY_CAP};
 pub use fleet::{

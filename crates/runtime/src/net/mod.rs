@@ -1,6 +1,7 @@
 //! Hermetic TCP front-end: two wire protocols over `std::net` exposing
-//! one or more serving [`Engine`]s to clients outside the process. No
-//! HTTP crate, no async runtime, no `libc`.
+//! serving [`Fleet`]s (a single [`Engine`] is served as a one-pool
+//! fleet) to clients outside the process. No HTTP crate, no async
+//! runtime, no `libc`.
 //!
 //! The module tree:
 //!
@@ -11,9 +12,9 @@
 //! * [`conn`] — the sans-IO per-connection state machine: version
 //!   negotiation, v1 line framing and v2 frame decoding over a byte
 //!   buffer, with no sockets (unit-testable in memory).
-//! * [`server`] — the blocking prefork [`Server`]/[`Client`] (v1 only)
-//!   and the event-driven [`EventServer`]/[`ClientV2`] (v2 with v1
-//!   fallback).
+//! * [`server`] — the event-driven [`EventServer`] (v2 with v1
+//!   fallback) and its blocking clients, [`Client`] (v1) and
+//!   [`ClientV2`].
 //!
 //! ## Wire protocol v1 (text)
 //!
@@ -37,9 +38,9 @@
 //!
 //! Malformed lines, unknown workloads and wrong-arity inputs get an
 //! `err` line and the connection keeps serving; a line longer than
-//! [`ServerConfig::max_line_bytes`] gets an `err` line and a clean close
-//! (the stream can no longer be framed); a client disconnect mid-stream
-//! closes the handler without disturbing sibling connections.
+//! [`EventServerConfig::max_line_bytes`] gets an `err` line and a clean
+//! close (the stream can no longer be framed); a client disconnect
+//! mid-stream closes that connection without disturbing its siblings.
 //!
 //! ## Wire protocol v2 (binary, pipelined)
 //!
@@ -87,10 +88,10 @@
 //!
 //! ## Determinism
 //!
-//! Each connection gets its own placement [`Session`] per workload, so
+//! Each connection gets its own [`FleetSession`] per workload, so
 //! the chip sequence a client observes is a pure function of *its own*
-//! request sequence — independent of server thread count, worker pool
-//! size, protocol version and of any other connection. That is what
+//! request sequence — independent of the server's worker count, the
+//! protocol version and of any other connection. That is what
 //! makes loopback serving byte-identical (modulo the latency field) to
 //! feeding the same sequence through [`Engine::serve_one`] in process,
 //! asserted in `tests/serving_engine.rs`.
@@ -99,13 +100,11 @@ pub mod conn;
 pub mod frame;
 pub mod server;
 
-pub use server::{Client, ClientV2, EventServer, EventServerConfig, Server, ServerConfig};
-
-use std::io::{BufRead, BufReader, Read};
+pub use server::{Client, ClientV2, EventServer, EventServerConfig};
 
 use crate::chip::Chip;
-use crate::engine::{BatchItem, Engine, Offer, Served, Session};
-use crate::fleet::{Fleet, FleetSession};
+use crate::engine::{BatchItem, Engine, Offer, Served};
+use crate::fleet::{Fleet, FleetConfig, FleetSession};
 
 /// Upper bound on a request line, including the newline.
 pub const DEFAULT_MAX_LINE_BYTES: usize = 64 * 1024;
@@ -202,40 +201,22 @@ impl Response {
     }
 }
 
-/// What actually serves a workload's requests: one engine pool, or a
-/// whole [`Fleet`] of them routed by workload key. Private — the servers
-/// go through the dispatching methods on [`NetWorkload`].
-enum Backend {
-    Engine(Engine<Box<dyn Chip>>),
-    Fleet(Fleet<Box<dyn Chip>>),
-}
-
-/// Per-connection serving state for one workload: the backend-shaped
-/// mirror of [`Session`]. Create with [`NetWorkload::open_session`]; the
-/// chip sequence it yields is a pure function of the connection's own
-/// request sequence either way.
-pub enum WorkloadSession {
-    /// Placement session over a single engine.
-    Engine(Session),
-    /// Routing session over a fleet (replica rotation + per-pool
-    /// placement sessions).
-    Fleet(FleetSession),
-}
-
-/// A named workload the server exposes: a serving backend (engine or
-/// fleet) over type-erased chips plus the input arity it validates
-/// before letting a request reach `Chip::infer` (chips panic on wrong
-/// lengths by contract, so the server must reject, not forward, bad
-/// arities).
+/// A named workload the server exposes: a [`Fleet`] over type-erased
+/// chips plus the input arity it validates before letting a request
+/// reach `Chip::infer` (chips panic on wrong lengths by contract, so the
+/// server must reject, not forward, bad arities). A single engine is
+/// served as a one-pool fleet ([`NetWorkload::new`]).
 pub struct NetWorkload {
     name: String,
     input_dim: usize,
-    backend: Backend,
+    fleet: Fleet<Box<dyn Chip>>,
 }
 
 impl NetWorkload {
     /// Register `engine` under `name`, validating requests to
-    /// `input_dim` elements.
+    /// `input_dim` elements. The engine becomes a one-pool fleet: routing
+    /// always picks pool 0, whose chip offset is 0, so chip ids and
+    /// output bits are exactly the engine's own.
     ///
     /// # Panics
     ///
@@ -243,7 +224,8 @@ impl NetWorkload {
     /// single protocol token), or if `input_dim` is zero.
     #[must_use]
     pub fn new(name: impl Into<String>, input_dim: usize, engine: Engine<Box<dyn Chip>>) -> Self {
-        Self::build(name, input_dim, Backend::Engine(engine))
+        let fleet = Fleet::new(vec![engine], FleetConfig::new(0).with_replication(1));
+        Self::fleet(name, input_dim, fleet)
     }
 
     /// Register a whole `fleet` under `name`: requests route across the
@@ -256,10 +238,6 @@ impl NetWorkload {
     /// As [`NetWorkload::new`].
     #[must_use]
     pub fn fleet(name: impl Into<String>, input_dim: usize, fleet: Fleet<Box<dyn Chip>>) -> Self {
-        Self::build(name, input_dim, Backend::Fleet(fleet))
-    }
-
-    fn build(name: impl Into<String>, input_dim: usize, backend: Backend) -> Self {
         let name = name.into();
         assert!(
             !name.is_empty() && !name.contains(char::is_whitespace),
@@ -269,7 +247,7 @@ impl NetWorkload {
         Self {
             name,
             input_dim,
-            backend,
+            fleet,
         }
     }
 
@@ -285,103 +263,46 @@ impl NetWorkload {
         self.input_dim
     }
 
-    /// The serving engine, when the backend is a single engine (`None`
-    /// for fleet-backed workloads).
-    #[must_use]
-    pub fn engine(&self) -> Option<&Engine<Box<dyn Chip>>> {
-        match &self.backend {
-            Backend::Engine(engine) => Some(engine),
-            Backend::Fleet(_) => None,
-        }
-    }
-
-    /// The serving fleet, when the backend is a fleet.
+    /// The serving fleet (always `Some`; a workload registered with
+    /// [`NetWorkload::new`] is a one-pool fleet).
     #[must_use]
     pub fn as_fleet(&self) -> Option<&Fleet<Box<dyn Chip>>> {
-        match &self.backend {
-            Backend::Engine(_) => None,
-            Backend::Fleet(fleet) => Some(fleet),
-        }
+        Some(&self.fleet)
     }
 
-    /// Whether any serving path of this workload gates requests through
-    /// admission control (for a fleet: any pool's engine does).
+    /// Whether any pool's engine gates requests through admission
+    /// control.
     #[must_use]
     pub fn has_admission(&self) -> bool {
-        match &self.backend {
-            Backend::Engine(engine) => engine.admission().is_some(),
-            Backend::Fleet(fleet) => {
-                (0..fleet.len()).any(|p| fleet.engine(p).admission().is_some())
-            }
-        }
+        (0..self.fleet.len()).any(|p| self.fleet.engine(p).admission().is_some())
     }
 
-    /// Open a fresh per-connection session for this workload.
+    /// Open a fresh per-connection routing session for this workload.
     #[must_use]
-    pub fn open_session(&self) -> WorkloadSession {
-        match &self.backend {
-            Backend::Engine(engine) => WorkloadSession::Engine(engine.session()),
-            Backend::Fleet(fleet) => WorkloadSession::Fleet(fleet.session(&self.name)),
-        }
+    pub fn open_session(&self) -> FleetSession {
+        self.fleet.session(&self.name)
     }
 
-    /// Serve one request through the session (fleet chip ids are
-    /// global).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `session` came from a different-backed workload.
-    pub fn serve_one(&self, session: &mut WorkloadSession, input: &[f64]) -> Served {
-        match (&self.backend, session) {
-            (Backend::Engine(engine), WorkloadSession::Engine(s)) => engine.serve_one(s, input),
-            (Backend::Fleet(fleet), WorkloadSession::Fleet(s)) => fleet.serve_one(s, input),
-            _ => panic!("session opened on a different-backed workload"),
-        }
+    /// Serve one request through the session (chip ids are global).
+    pub fn serve_one(&self, session: &mut FleetSession, input: &[f64]) -> Served {
+        self.fleet.serve_one(session, input)
     }
 
-    /// Serve one request behind the backend's admission gate.
-    ///
-    /// # Panics
-    ///
-    /// As [`NetWorkload::serve_one`].
-    pub fn offer_one(
-        &self,
-        session: &mut WorkloadSession,
-        input: &[f64],
-        arrival_secs: f64,
-    ) -> Offer {
-        match (&self.backend, session) {
-            (Backend::Engine(engine), WorkloadSession::Engine(s)) => {
-                engine.offer_one(s, input, arrival_secs)
-            }
-            (Backend::Fleet(fleet), WorkloadSession::Fleet(s)) => {
-                fleet.offer_one(s, input, arrival_secs)
-            }
-            _ => panic!("session opened on a different-backed workload"),
-        }
+    /// Serve one request behind the target pool's admission gate.
+    pub fn offer_one(&self, session: &mut FleetSession, input: &[f64], arrival_secs: f64) -> Offer {
+        self.fleet.offer_one(session, input, arrival_secs)
     }
 
     /// Serve a pipelined batch through the session (the v2 path),
     /// results in request order.
-    ///
-    /// # Panics
-    ///
-    /// As [`NetWorkload::serve_one`].
     pub fn serve_batch(
         &self,
-        session: &mut WorkloadSession,
+        session: &mut FleetSession,
         inputs: &[Vec<f64>],
         arrival_secs: Option<f64>,
     ) -> Vec<BatchItem> {
-        match (&self.backend, session) {
-            (Backend::Engine(engine), WorkloadSession::Engine(s)) => {
-                engine.serve_session_batch(s, inputs, arrival_secs)
-            }
-            (Backend::Fleet(fleet), WorkloadSession::Fleet(s)) => {
-                fleet.serve_session_batch(s, inputs, arrival_secs)
-            }
-            _ => panic!("session opened on a different-backed workload"),
-        }
+        self.fleet
+            .serve_session_batch(session, inputs, arrival_secs)
     }
 }
 
@@ -393,7 +314,7 @@ fn serve_line_admitted(
     line: &str,
     arrival_secs: f64,
     workloads: &[NetWorkload],
-    sessions: &mut [WorkloadSession],
+    sessions: &mut [FleetSession],
 ) -> Response {
     let (index, input) = match parse_request(line, workloads) {
         Ok(parsed) => parsed,
@@ -410,7 +331,7 @@ fn serve_line_admitted(
 }
 
 /// Parse and serve one request line against per-connection sessions.
-fn serve_line(line: &str, workloads: &[NetWorkload], sessions: &mut [WorkloadSession]) -> Response {
+fn serve_line(line: &str, workloads: &[NetWorkload], sessions: &mut [FleetSession]) -> Response {
     let (index, input) = match parse_request(line, workloads) {
         Ok(parsed) => parsed,
         Err(response) => return response,
@@ -446,44 +367,6 @@ fn parse_request(line: &str, workloads: &[NetWorkload]) -> Result<(usize, Vec<f6
     Ok((index, input))
 }
 
-enum ReadLineError {
-    TooLong,
-    Io,
-}
-
-/// Read one `\n`-terminated line of at most `max` bytes. `Ok(None)` on
-/// EOF before any newline (a partial trailing line is a disconnect, not
-/// a request). The trailing `\r`, if any, is stripped.
-fn read_line_bounded<R: Read>(
-    reader: &mut BufReader<R>,
-    max: usize,
-) -> Result<Option<String>, ReadLineError> {
-    let mut acc: Vec<u8> = Vec::new();
-    loop {
-        let buf = reader.fill_buf().map_err(|_| ReadLineError::Io)?;
-        if buf.is_empty() {
-            return Ok(None); // EOF
-        }
-        if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            acc.extend_from_slice(&buf[..pos]);
-            reader.consume(pos + 1);
-            if acc.len() > max {
-                return Err(ReadLineError::TooLong);
-            }
-            if acc.last() == Some(&b'\r') {
-                acc.pop();
-            }
-            return Ok(Some(String::from_utf8_lossy(&acc).into_owned()));
-        }
-        let taken = buf.len();
-        acc.extend_from_slice(buf);
-        reader.consume(taken);
-        if acc.len() > max {
-            return Err(ReadLineError::TooLong);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,17 +390,21 @@ mod tests {
         Engine::new(pool.boxed()).with_policy(RoundRobin)
     }
 
-    fn toy_server(threads: usize) -> Server {
-        let workloads = vec![NetWorkload::new("toy", 2, toy_engine(3))];
-        Server::bind(
+    fn bind_toy(engine: Engine<Box<dyn Chip>>, workers: usize) -> EventServer {
+        EventServer::bind(
             "127.0.0.1:0",
-            workloads,
-            ServerConfig {
-                threads,
+            vec![NetWorkload::new("toy", 2, engine)],
+            EventServerConfig {
+                workers,
                 max_line_bytes: 256,
+                ..EventServerConfig::default()
             },
         )
         .expect("bind ephemeral")
+    }
+
+    fn toy_server(workers: usize) -> EventServer {
+        bind_toy(toy_engine(3), workers)
     }
 
     #[test]
@@ -542,35 +429,6 @@ mod tests {
         let err = Response::Error("wrong arity".to_string());
         assert_eq!(Response::parse(&err.format()), Ok(err));
         assert!(Response::parse("what 1 2 3").is_err());
-    }
-
-    #[test]
-    fn bounded_reader_frames_lines_and_caps_length() {
-        let data = b"short line\r\nsecond\n".to_vec();
-        let mut reader = BufReader::new(&data[..]);
-        assert_eq!(
-            read_line_bounded(&mut reader, 64).ok().flatten(),
-            Some("short line".to_string())
-        );
-        assert_eq!(
-            read_line_bounded(&mut reader, 64).ok().flatten(),
-            Some("second".to_string())
-        );
-        assert!(read_line_bounded(&mut reader, 64).ok().flatten().is_none());
-        // A partial trailing line (client died mid-write) is EOF.
-        let partial = b"no newline".to_vec();
-        let mut reader = BufReader::new(&partial[..]);
-        assert!(read_line_bounded(&mut reader, 64).ok().flatten().is_none());
-        // Over-cap lines are rejected even when a newline follows.
-        let long = vec![b'x'; 100]
-            .into_iter()
-            .chain(*b"\n")
-            .collect::<Vec<u8>>();
-        let mut reader = BufReader::new(&long[..]);
-        assert!(matches!(
-            read_line_bounded(&mut reader, 32),
-            Err(ReadLineError::TooLong)
-        ));
     }
 
     #[test]
@@ -661,21 +519,12 @@ mod tests {
         server.shutdown();
     }
 
-    fn gated_server(chips: usize, max_delay_secs: f64, secs_per_cost: f64) -> Server {
+    fn gated_server(chips: usize, max_delay_secs: f64, secs_per_cost: f64) -> EventServer {
         let engine = toy_engine(chips).with_admission(crate::AdmissionConfig {
             max_delay_secs,
             secs_per_cost,
         });
-        let workloads = vec![NetWorkload::new("toy", 2, engine)];
-        Server::bind(
-            "127.0.0.1:0",
-            workloads,
-            ServerConfig {
-                threads: 1,
-                max_line_bytes: 256,
-            },
-        )
-        .expect("bind ephemeral")
+        bind_toy(engine, 1)
     }
 
     #[test]

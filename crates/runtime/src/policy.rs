@@ -9,8 +9,9 @@
 //!   [`PoolState`], and returns a chip id. Placement must be a **pure
 //!   function** of `(costs, state)` — never of wall-clock time or thread
 //!   timing — so a request sequence maps to the same chips on every run.
-//! * [`RoundRobin`], [`LeastLoaded`] — the classic policies, behaviour-
-//!   compatible with the legacy [`Placement`](crate::Placement) enum.
+//! * [`RoundRobin`], [`LeastLoaded`] — the classic policies; request `i`
+//!   to chip `i mod N`, and each request to the chip with the least
+//!   assigned cost so far.
 //! * [`SizeAware`] — greedy earliest-finish-time: picks the chip that
 //!   would *complete* the request soonest (`load + cost` argmin), which
 //!   routes work away from slow chips when the [`CostModel`] knows chips
@@ -271,8 +272,8 @@ fn argmin(values: impl Iterator<Item = f64>) -> usize {
 /// Two unit conventions coexist deliberately:
 ///
 /// * [`CostModel::input_length`] — `a = 0, b = 1`: cost *is* the input
-///   length, the legacy proxy the [`Placement`](crate::Placement) enum
-///   used. Deterministic, no measurement needed.
+///   length, the engine's default proxy. Deterministic, no measurement
+///   needed.
 /// * [`CostModel::calibrate`] — coefficients are least-squares fits of
 ///   measured `infer` wall time in **seconds**. The measurement itself is
 ///   host-dependent, but once frozen the model (and all placement
@@ -285,7 +286,7 @@ pub struct CostModel {
 
 impl CostModel {
     /// The unit cost model for `chips` chips: cost = input length
-    /// (clamped to ≥ 1), matching the legacy `Placement` enum's proxy.
+    /// (clamped to ≥ 1), a proxy for service time.
     ///
     /// # Panics
     ///
@@ -478,8 +479,7 @@ fn fit_affine(points: &[(f64, f64)]) -> (f64, f64) {
 /// Replay a policy over a whole batch: `assignment[i]` is the chip id
 /// serving request `i`, with per-request costs taken from `model` and
 /// state threaded through `policy` in request order. This is the single
-/// definition of batch placement — the engine, the legacy enum adapters
-/// and the tests all call it.
+/// definition of batch placement — the engine and the tests call it.
 ///
 /// # Panics
 ///

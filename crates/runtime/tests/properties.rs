@@ -13,8 +13,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use prng::{prop_check, substream};
-use runtime::net::{format_csv, parse_csv, Client, NetWorkload, Response, Server, ServerConfig};
-use runtime::{Chip, ChipPool, Engine, Placement, ThreadPool};
+use runtime::net::{
+    format_csv, parse_csv, Client, EventServer, EventServerConfig, NetWorkload, Response,
+};
+use runtime::{Chip, ChipPool, Engine, LeastLoaded, PlacementPolicy, RoundRobin, ThreadPool};
 
 /// Parallel map equals the serial map, for arbitrary inputs, task counts
 /// and thread counts.
@@ -87,18 +89,19 @@ fn chip_pool_outputs_are_deterministic() {
                 g.vec_f64(0.0, 1.0, len)
             })
             .collect();
-        let pool = seeded_pool(root, chips);
-        for placement in [Placement::RoundRobin, Placement::LeastLoaded] {
-            let a = pool.serve(&inputs, placement);
-            let b = pool.serve(&inputs, placement);
+        let policies: [Box<dyn PlacementPolicy>; 2] = [Box::new(RoundRobin), Box::new(LeastLoaded)];
+        for policy in policies {
+            let engine = Engine::new(seeded_pool(root, chips)).with_boxed_policy(policy);
+            let a = engine.serve(&inputs);
+            let b = engine.serve(&inputs);
             assert_eq!(a.outputs, b.outputs);
             // And the outputs follow the published assignment exactly.
             let costs: Vec<usize> = inputs.iter().map(Vec::len).collect();
-            let assignment = pool.assignment(&costs, placement);
+            let assignment = engine.assignment(&costs);
             for (i, out) in a.outputs.iter().enumerate() {
                 let expect: Vec<f64> = inputs[i]
                     .iter()
-                    .map(|x| x + pool.chips()[assignment[i]].offset)
+                    .map(|x| x + engine.pool().chips()[assignment[i]].offset)
                     .collect();
                 assert_eq!(out, &expect);
             }
@@ -115,8 +118,8 @@ fn least_loaded_keeps_loads_balanced() {
         let chips = g.usize_in(1, 6);
         let n = g.usize_in(1, 30);
         let costs: Vec<usize> = (0..n).map(|_| g.usize_in(1, 20)).collect();
-        let pool = seeded_pool(1, chips);
-        let assignment = pool.assignment(&costs, Placement::LeastLoaded);
+        let engine = Engine::new(seeded_pool(1, chips)).with_policy(LeastLoaded);
+        let assignment = engine.assignment(&costs);
         let mut load = vec![0usize; chips];
         for (&chip, &cost) in assignment.iter().zip(&costs) {
             load[chip] += cost;
@@ -261,6 +264,30 @@ fn wire_csv_round_trips_arbitrary_finite_f64_bit_exactly() {
     });
 }
 
+/// An event server over a 3-chip seeded pool, registered as "prop" with
+/// two inputs per request.
+fn bind_prop_server(workers: usize, max_line_bytes: usize) -> EventServer {
+    EventServer::bind(
+        "127.0.0.1:0",
+        vec![NetWorkload::new(
+            "prop",
+            2,
+            Engine::new(
+                ChipPool::manufacture(11, 3, |_, seed| SeededChip {
+                    offset: (seed % 997) as f64,
+                })
+                .boxed(),
+            ),
+        )],
+        EventServerConfig {
+            workers,
+            max_line_bytes,
+            ..EventServerConfig::default()
+        },
+    )
+    .expect("bind ephemeral")
+}
+
 /// Malformed and oversized request lines always answer `err` in-band and
 /// never corrupt the connection's session state machine: valid requests
 /// interleaved with arbitrary abuse still visit exactly the chips an
@@ -273,24 +300,7 @@ fn wire_protocol_abuse_yields_err_without_corrupting_sessions() {
             offset: (seed % 997) as f64,
         }))
     };
-    let server = Server::bind(
-        "127.0.0.1:0",
-        vec![NetWorkload::new(
-            "prop",
-            2,
-            Engine::new(
-                ChipPool::manufacture(11, 3, |_, seed| SeededChip {
-                    offset: (seed % 997) as f64,
-                })
-                .boxed(),
-            ),
-        )],
-        ServerConfig {
-            threads: 1,
-            max_line_bytes: MAX_LINE,
-        },
-    )
-    .expect("bind ephemeral");
+    let server = bind_prop_server(1, MAX_LINE);
 
     prop_check!(|g| {
         let twin = make_engine();
@@ -365,24 +375,7 @@ fn wire_protocol_abuse_yields_err_without_corrupting_sessions() {
 #[test]
 fn oversized_lines_always_err_and_close_only_their_own_connection() {
     const MAX_LINE: usize = 128;
-    let server = Server::bind(
-        "127.0.0.1:0",
-        vec![NetWorkload::new(
-            "prop",
-            2,
-            Engine::new(
-                ChipPool::manufacture(11, 3, |_, seed| SeededChip {
-                    offset: (seed % 997) as f64,
-                })
-                .boxed(),
-            ),
-        )],
-        ServerConfig {
-            threads: 2,
-            max_line_bytes: MAX_LINE,
-        },
-    )
-    .expect("bind ephemeral");
+    let server = bind_prop_server(2, MAX_LINE);
     prop_check!(|g| {
         let mut survivor = Client::connect(server.addr()).expect("connect survivor");
         assert!(matches!(
@@ -411,10 +404,10 @@ fn oversized_lines_always_err_and_close_only_their_own_connection() {
 /// Open-loop serving honours arrivals and reports sane statistics.
 #[test]
 fn open_loop_stats_are_consistent() {
-    let pool = seeded_pool(3, 2);
+    let engine = Engine::new(seeded_pool(3, 2)).with_policy(RoundRobin);
     let inputs: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64]).collect();
     let arrivals: Vec<Duration> = (0..8).map(|i| Duration::from_micros(200 * i)).collect();
-    let outcome = pool.serve_open_loop(&inputs, &arrivals, Placement::RoundRobin);
+    let outcome = engine.serve_open_loop(&inputs, &arrivals);
     let stats = &outcome.stats;
     assert_eq!(stats.requests, 8);
     assert_eq!(stats.per_chip.iter().map(|c| c.served).sum::<usize>(), 8);

@@ -4,10 +4,13 @@
 //! For a fixed root seed and request sequence, the response bits must be
 //! identical across every way of driving the same pool:
 //!
-//! * the legacy `Placement` enum adapters vs the policy objects they
-//!   delegate to;
-//! * the in-process `Engine` vs the loopback TCP front-end;
-//! * a 1-thread server vs an N-thread server (placement sessions are
+//! * statically-typed vs boxed placement policies, and a batch
+//!   assignment vs a streaming session;
+//! * the in-process `Engine` vs the same engine registered as a
+//!   `NetWorkload` (a one-pool fleet), including admission decisions;
+//! * the in-process `Engine` vs the loopback TCP front-end, over the v1
+//!   text fallback and over v2 frames;
+//! * a 1-worker server vs an N-worker server (routing sessions are
 //!   per-connection, so server parallelism cannot move a request to a
 //!   different chip).
 //!
@@ -22,12 +25,11 @@ use prng::rngs::StdRng;
 use prng::{Rng, SeedableRng};
 use runtime::net::frame::ItemResponse;
 use runtime::net::{
-    format_csv, Client, ClientV2, EventServer, EventServerConfig, NetWorkload, Response, Server,
-    ServerConfig,
+    format_csv, Client, ClientV2, EventServer, EventServerConfig, NetWorkload, Response,
 };
 use runtime::{
-    AdmissionConfig, Chip, ChipPool, DriftProfile, DriftingChip, Engine, LeastLoaded, Placement,
-    RoundRobin,
+    AdmissionConfig, BatchItem, Chip, ChipPool, CostModel, DriftProfile, DriftingChip, Engine,
+    LeastLoaded, Offer, PlacementPolicy, RoundRobin,
 };
 
 const ROOT_SEED: u64 = 42;
@@ -48,19 +50,25 @@ fn request_sequence() -> Vec<Vec<f64>> {
     (0..17).map(|i| vec![f64::from(i) / 17.0]).collect()
 }
 
-/// Serve the fixed sequence over one TCP connection against a server
-/// with the given acceptor-thread count; return `(chip, output)` pairs.
-fn serve_over_tcp(mei: &MeiRcs, threads: usize) -> Vec<(usize, Vec<f64>)> {
-    let engine = manufacture_boxed_engine(mei, CHIPS, WRITE_SIGMA, ROOT_SEED);
-    let server = Server::bind(
+/// Bind an event server with `workers` workers over one workload.
+fn bind(engine: Engine<Box<dyn Chip>>, workers: usize) -> EventServer {
+    EventServer::bind(
         "127.0.0.1:0",
         vec![NetWorkload::new("expfit", 1, engine)],
-        ServerConfig {
-            threads,
-            ..ServerConfig::default()
+        EventServerConfig {
+            workers,
+            ..EventServerConfig::default()
         },
     )
-    .expect("bind loopback");
+    .expect("bind event server")
+}
+
+/// Serve the fixed sequence as strict v1 round trips over one TCP
+/// connection against an event server with the given worker count;
+/// return `(chip, output)` pairs.
+fn serve_over_tcp(mei: &MeiRcs, workers: usize) -> Vec<(usize, Vec<f64>)> {
+    let engine = manufacture_boxed_engine(mei, CHIPS, WRITE_SIGMA, ROOT_SEED);
+    let server = bind(engine, workers);
     let mut client = Client::connect(server.addr()).expect("connect");
     let mut served = Vec::new();
     for input in request_sequence() {
@@ -74,24 +82,38 @@ fn serve_over_tcp(mei: &MeiRcs, threads: usize) -> Vec<(usize, Vec<f64>)> {
     served
 }
 
+/// Round-robin and least-loaded engines serve exactly the placement
+/// `policy::assign_batch` defines over the input-length proxy: batch
+/// assignment, streaming session and served bits all agree, and each
+/// output is the bits of the chip it was placed on.
 #[test]
-fn enum_adapters_match_their_policy_objects() {
+fn policy_engines_serve_the_bits_their_assignment_predicts() {
     let mei = trained_mei();
     let inputs = request_sequence();
-    for placement in [Placement::RoundRobin, Placement::LeastLoaded] {
-        let via_enum =
-            manufacture_chips(&mei, CHIPS, WRITE_SIGMA, ROOT_SEED).serve(&inputs, placement);
-        let boxed: Box<dyn runtime::PlacementPolicy> = match placement {
-            Placement::RoundRobin => Box::new(RoundRobin),
-            Placement::LeastLoaded => Box::new(LeastLoaded),
-        };
+    let lens: Vec<usize> = inputs.iter().map(Vec::len).collect();
+    let policies: [Box<dyn PlacementPolicy>; 2] = [Box::new(RoundRobin), Box::new(LeastLoaded)];
+    for policy in policies {
+        let expected =
+            runtime::policy::assign_batch(&lens, policy.as_ref(), &CostModel::input_length(CHIPS));
+        let name = policy.name();
         let engine = Engine::new(manufacture_chips(&mei, CHIPS, WRITE_SIGMA, ROOT_SEED))
-            .with_boxed_policy(boxed);
-        let via_policy = engine.serve(&inputs);
+            .with_boxed_policy(policy);
         assert_eq!(
-            via_enum.outputs, via_policy.outputs,
-            "{placement:?} adapter and its policy object must serve identical bits"
+            engine.assignment(&lens),
+            expected,
+            "{name} batch assignment"
         );
+        let mut session = engine.session();
+        let streamed: Vec<usize> = inputs
+            .iter()
+            .map(|input| engine.serve_one(&mut session, input).chip)
+            .collect();
+        assert_eq!(streamed, expected, "{name} streaming placement");
+        let outputs = engine.serve(&inputs).outputs;
+        for (i, (output, &chip)) in outputs.iter().zip(&expected).enumerate() {
+            let direct = Chip::infer(&engine.pool().chips()[chip], &inputs[i]);
+            assert_eq!(output, &direct, "{name} request {i} bits");
+        }
     }
 }
 
@@ -183,17 +205,11 @@ fn generous_admission() -> AdmissionConfig {
 
 /// Serve the fixed sequence over one connection against a *gated*
 /// server whose engine drifted two windows; panic on any shed.
-fn serve_drifted_gated_over_tcp(mei: &MeiRcs, threads: usize) -> Vec<(usize, Vec<f64>)> {
-    let engine = drifted_boxed_engine(mei, 2, Some(generous_admission()));
-    let server = Server::bind(
-        "127.0.0.1:0",
-        vec![NetWorkload::new("expfit", 1, engine)],
-        ServerConfig {
-            threads,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind loopback");
+fn serve_drifted_gated_over_tcp(mei: &MeiRcs, workers: usize) -> Vec<(usize, Vec<f64>)> {
+    let server = bind(
+        drifted_boxed_engine(mei, 2, Some(generous_admission())),
+        workers,
+    );
     let mut client = Client::connect(server.addr()).expect("connect");
     let mut served = Vec::new();
     for input in request_sequence() {
@@ -225,7 +241,7 @@ fn drifted_gated_server_threads_cannot_change_bits() {
 
     let single = serve_drifted_gated_over_tcp(&mei, 1);
     let multi = serve_drifted_gated_over_tcp(&mei, 4);
-    assert_eq!(single, multi, "server threads must not move drifted bits");
+    assert_eq!(single, multi, "server workers must not move drifted bits");
     assert_eq!(single, in_proc, "the gate must be bit-transparent");
     // Sanity: the pool really is drifted — window 0 serves other bits.
     let fresh = drifted_boxed_engine(&mei, 0, None);
@@ -279,6 +295,58 @@ fn admission_decisions_and_bits_replay_identically() {
             "admitted bits must replay"
         );
     }
+
+    // The same gate on the wire path: the engine registered as a
+    // `NetWorkload` (a one-pool fleet) makes the in-process engine's exact
+    // offer decisions — shed chip and estimated wait included — one
+    // request at a time and as one batch sharing an arrival stamp.
+    type Decision = (usize, Result<Vec<f64>, u64>);
+    let twin = drifted_boxed_engine(&mei, 1, Some(tight));
+    let mut twin_session = twin.session();
+    let in_proc: Vec<Decision> = inputs
+        .iter()
+        .map(
+            |input| match twin.offer_one(&mut twin_session, input, 0.0) {
+                Offer::Served(served) => (served.chip, Ok(served.output)),
+                Offer::Shed {
+                    chip,
+                    estimated_wait_secs,
+                } => (chip, Err(estimated_wait_secs.to_bits())),
+            },
+        )
+        .collect();
+    assert!(
+        in_proc.iter().any(|(_, d)| d.is_err()),
+        "the tight bound sheds in-process"
+    );
+    let workload = NetWorkload::new("expfit", 1, drifted_boxed_engine(&mei, 1, Some(tight)));
+    assert!(workload.has_admission());
+    let mut session = workload.open_session();
+    let offered: Vec<Decision> = inputs
+        .iter()
+        .map(|input| match workload.offer_one(&mut session, input, 0.0) {
+            Offer::Served(served) => (served.chip, Ok(served.output)),
+            Offer::Shed {
+                chip,
+                estimated_wait_secs,
+            } => (chip, Err(estimated_wait_secs.to_bits())),
+        })
+        .collect();
+    assert_eq!(offered, in_proc, "one-pool fleet offer_one");
+    let mut session = workload.open_session();
+    let batched: Vec<Decision> = workload
+        .serve_batch(&mut session, &inputs, Some(0.0))
+        .into_iter()
+        .map(|item| match item {
+            BatchItem::Served(served) => (served.chip, Ok(served.output)),
+            BatchItem::Shed {
+                chip,
+                estimated_wait_secs,
+            } => (chip, Err(estimated_wait_secs.to_bits())),
+            BatchItem::Failed { chip } => panic!("chip {chip} failed"),
+        })
+        .collect();
+    assert_eq!(batched, in_proc, "one-pool fleet serve_batch");
 }
 
 #[test]
@@ -297,16 +365,10 @@ fn generous_admission_is_bit_transparent_end_to_end() {
 
 /// Bind an event-driven server over the standard manufactured pool.
 fn bind_event_server(mei: &MeiRcs, workers: usize) -> EventServer {
-    let engine = manufacture_boxed_engine(mei, CHIPS, WRITE_SIGMA, ROOT_SEED);
-    EventServer::bind(
-        "127.0.0.1:0",
-        vec![NetWorkload::new("expfit", 1, engine)],
-        EventServerConfig {
-            workers,
-            ..EventServerConfig::default()
-        },
+    bind(
+        manufacture_boxed_engine(mei, CHIPS, WRITE_SIGMA, ROOT_SEED),
+        workers,
     )
-    .expect("bind event server")
 }
 
 /// Serve the fixed sequence over protocol v2 against an event server
@@ -349,7 +411,7 @@ fn serve_over_v2(mei: &MeiRcs, workers: usize, splits: &[usize]) -> Vec<(usize, 
 #[test]
 fn v2_frames_serve_the_same_bits_as_v1_lines() {
     let mei = trained_mei();
-    // v1 reference: strict text round trips against the prefork server.
+    // v1 reference: strict text round trips over the v1 fallback.
     let v1 = serve_over_tcp(&mei, 1);
     // v2: one pipelined connection, uneven frame boundaries — framing
     // must not leak into placement or payload bits.
@@ -404,22 +466,34 @@ fn v2_unknown_workload_is_rejected_client_side() {
 }
 
 #[test]
-fn v1_fallback_over_the_event_server_matches_the_prefork_server() {
+fn pipelined_v1_fallback_matches_the_in_process_engine() {
     let mei = trained_mei();
-    let prefork = serve_over_tcp(&mei, 1);
+    let engine = manufacture_boxed_engine(&mei, CHIPS, WRITE_SIGMA, ROOT_SEED);
+    let mut session = engine.session();
+    let in_proc: Vec<(usize, Vec<f64>)> = request_sequence()
+        .iter()
+        .map(|input| {
+            let served = engine.serve_one(&mut session, input);
+            (served.chip, served.output)
+        })
+        .collect();
     let server = bind_event_server(&mei, 2);
-    // A v1-only client that has never heard of negotiation.
+    // A v1-only client that has never heard of negotiation, pipelining
+    // every line before reading any response.
     let mut client = Client::connect(server.addr()).expect("connect");
-    let mut served = Vec::new();
     for input in request_sequence() {
-        match client.request("expfit", &input).expect("round trip") {
+        client.send("expfit", &input).expect("pipeline send");
+    }
+    let mut served = Vec::new();
+    for _ in request_sequence() {
+        match client.recv().expect("pipelined response") {
             Response::Ok { chip, output, .. } => served.push((chip, output)),
             Response::Error(e) => panic!("request rejected: {e}"),
         }
     }
     drop(client);
     server.shutdown();
-    assert_eq!(served, prefork, "the v1 fallback must be bit-transparent");
+    assert_eq!(served, in_proc, "the v1 fallback must be bit-transparent");
 }
 
 #[test]
@@ -574,9 +648,52 @@ fn batch_and_streaming_assignments_agree_end_to_end() {
         .map(|input| engine.serve_one(&mut session, input).chip)
         .collect();
     assert_eq!(batch, streamed);
-    // And the pool's enum surface still agrees with both.
-    let pool = manufacture_chips(&mei, CHIPS, WRITE_SIGMA, ROOT_SEED);
-    assert_eq!(pool.assignment(&lens, Placement::LeastLoaded), batch);
+    // The default engine is least-loaded over the input-length proxy.
+    assert_eq!(
+        runtime::policy::assign_batch(&lens, &LeastLoaded, &CostModel::input_length(CHIPS)),
+        batch
+    );
+    // Registered as a wire workload, the engine becomes a one-pool fleet:
+    // pool 0, chip offset 0, so serve_one and uneven serve_batch frames
+    // visit the same chips with the same bits.
+    let reference: Vec<(usize, Vec<f64>)> = {
+        let mut session = engine.session();
+        inputs
+            .iter()
+            .map(|input| {
+                let served = engine.serve_one(&mut session, input);
+                (served.chip, served.output)
+            })
+            .collect()
+    };
+    let workload = NetWorkload::new(
+        "expfit",
+        1,
+        manufacture_boxed_engine(&mei, CHIPS, WRITE_SIGMA, ROOT_SEED),
+    );
+    let mut session = workload.open_session();
+    let one_at_a_time: Vec<(usize, Vec<f64>)> = inputs
+        .iter()
+        .map(|input| {
+            let served = workload.serve_one(&mut session, input);
+            (served.chip, served.output)
+        })
+        .collect();
+    assert_eq!(one_at_a_time, reference, "one-pool fleet serve_one");
+    let mut session = workload.open_session();
+    let mut batched = Vec::new();
+    let mut offset = 0;
+    for count in [5, 1, 8, 3] {
+        let frame = &inputs[offset..offset + count];
+        offset += count;
+        for item in workload.serve_batch(&mut session, frame, None) {
+            match item {
+                BatchItem::Served(served) => batched.push((served.chip, served.output)),
+                other => panic!("ungated request not served: {other:?}"),
+            }
+        }
+    }
+    assert_eq!(batched, reference, "one-pool fleet serve_batch");
     // Sanity: work is actually spread, not funneled to one chip.
     let mut seen = batch.clone();
     seen.sort_unstable();
