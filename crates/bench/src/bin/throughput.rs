@@ -12,7 +12,11 @@
 //!    instead of a blind fixed-utilization point;
 //! 3. **loopback-TCP knee** — the same ramp driven through the
 //!    `runtime::net` event server's v1 text fallback over 127.0.0.1, a
-//!    real socket round-trip per request;
+//!    real socket round-trip per request (the event server sleeps
+//!    500 µs when idle and keeps one job in flight per connection, so
+//!    this knee is not comparable with the `tcp.knee_rps` committed in
+//!    `results/BENCH_serving_baseline.json`, which was recorded on the
+//!    thread-per-connection prefork server this crate no longer has);
 //! 4. **wire protocol v2** — one client against the event-driven server
 //!    over loopback, closed loop: strict v1 text round trips versus
 //!    pipelined v2 binary batches, reporting both requests/sec and the
@@ -254,6 +258,9 @@ fn v2_pipelined_loop(
 /// Pull the v1 loopback-TCP knee rate out of the committed baseline
 /// report, if it is readable from the current directory. A one-key
 /// extraction, not a parser: the committed shape is under our control.
+/// The committed knee was measured on the former prefork server, not on
+/// the event server phase 3 drives now; it is carried as a historical
+/// reference only.
 fn baseline_tcp_knee_rps(path: &str) -> Option<f64> {
     let text = std::fs::read_to_string(path).ok()?;
     let tcp = text.split("\"tcp\":{\"knee_rps\":").nth(1)?;

@@ -282,10 +282,13 @@ impl<C: Chip> Fleet<C> {
     /// nothing is healthy).
     #[must_use]
     pub fn replicas(&self, key: &str) -> Vec<usize> {
+        self.replicas_of_hash(router::key_hash(key))
+    }
+
+    fn replicas_of_hash(&self, key_hash: u64) -> Vec<usize> {
         let healthy = self.healthy();
         let ids: Vec<u64> = healthy.iter().map(|&i| self.pools[i].id).collect();
-        let hashed = router::key_hash(key);
-        router::rank(self.config.seed, hashed, &ids)
+        router::rank(self.config.seed, key_hash, &ids)
             .into_iter()
             .take(self.config.replication)
             .map(|rank_index| healthy[rank_index])
@@ -432,14 +435,18 @@ impl<C: Chip> Fleet<C> {
 
     /// The replica set for a session's key (same as [`Fleet::replicas`]
     /// on the session's key string).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no pool is healthy.
     fn session_replicas(&self, session: &FleetSession) -> Vec<usize> {
-        let healthy = self.healthy();
-        let ids: Vec<u64> = healthy.iter().map(|&i| self.pools[i].id).collect();
-        router::rank(self.config.seed, session.key, &ids)
-            .into_iter()
-            .take(self.config.replication)
-            .map(|rank_index| healthy[rank_index])
-            .collect()
+        let replicas = self.replicas_of_hash(session.key);
+        assert!(
+            !replicas.is_empty(),
+            "no healthy pool to serve workload '{}'",
+            session.key_name
+        );
+        replicas
     }
 
     /// The pool the session's next request will land on. Pure function
@@ -450,13 +457,7 @@ impl<C: Chip> Fleet<C> {
     /// Panics if no pool is healthy.
     #[must_use]
     pub fn next_pool(&self, session: &FleetSession) -> usize {
-        let replicas = self.session_replicas(session);
-        assert!(
-            !replicas.is_empty(),
-            "no healthy pool to serve workload '{}'",
-            session.key_name
-        );
-        replicas[(session.sequence % replicas.len() as u64) as usize]
+        session.pick(&self.session_replicas(session))
     }
 
     /// Serve one request through the session: pick the replica for this
@@ -527,11 +528,13 @@ impl<C: Chip> Fleet<C> {
         // Route the whole batch first: request order within each pool's
         // sub-batch matches global request order, so per-pool session
         // folds see the same sequence serve_one would feed them.
+        // The healthy set cannot change under `&self`, so the replica
+        // set is computed once for the whole batch.
+        let replicas = self.session_replicas(session);
         let mut per_pool: Vec<Vec<usize>> = vec![Vec::new(); self.pools.len()];
         for request in 0..inputs.len() {
-            let pool = self.next_pool(session);
+            per_pool[session.pick(&replicas)].push(request);
             session.sequence += 1;
-            per_pool[pool].push(request);
         }
         let mut items: Vec<Option<BatchItem>> = (0..inputs.len()).map(|_| None).collect();
         for (pool, requests) in per_pool.iter().enumerate() {
@@ -635,6 +638,11 @@ pub struct FleetSession {
 }
 
 impl FleetSession {
+    /// The replica the next request lands on: replica = sequence mod R.
+    fn pick(&self, replicas: &[usize]) -> usize {
+        replicas[(self.sequence % replicas.len() as u64) as usize]
+    }
+
     /// Requests routed through this session so far (served or shed).
     #[must_use]
     pub fn routed(&self) -> u64 {
