@@ -165,6 +165,13 @@ fn main() {
             "knee, SLA unmet"
         }
     );
+    if sla.met && !sla.kneed {
+        eprintln!(
+            "warning: no measured rate missed the {sla_target_us:.0} µs target, so \
+             {per_pool_rps:.0} req/s is the ramp's ceiling, not a measured capacity; \
+             the DSE below plans with a lower bound (raise the ramp's max_steps)"
+        );
+    }
 
     // -- Phase 2: fleet accounting at a sustainable operating point. --
     let pool_sizes: [usize; 3] = [1, 2, 4];
@@ -303,12 +310,13 @@ fn main() {
         "{{\"meta\":{meta},\"suite\":\"fleet_cost/{WORKLOAD}\",\
          \"window_secs\":{},\"chips_per_pool\":{CHIPS_PER_POOL},\
          \"chip_sheet\":{},\
-         \"sla\":{{\"target_p99_us\":{},\"met\":{},\"per_pool_rps\":{}}},\
+         \"sla\":{{\"target_p99_us\":{},\"met\":{},\"kneed\":{},\"per_pool_rps\":{}}},\
          \"fleets\":[{}],\"dse\":{}}}",
         json_num(window.as_secs_f64(), 3),
         chip_sheet.to_json(),
         json_num(sla_target_us, 3),
         sla.met,
+        sla.kneed,
         json_num(per_pool_rps, 3),
         fleets_json.join(","),
         report.to_json(),

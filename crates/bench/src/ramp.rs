@@ -230,6 +230,11 @@ pub struct SlaReport {
     pub p99_at_max_us: f64,
     /// Whether any measured rate met the target at all.
     pub met: bool,
+    /// Whether a measured rate that *missed* the target bounds the
+    /// bracket from above. When `false` every measured rate met the
+    /// target, so `max_rps` is only the highest rate tried — a floor on
+    /// the capacity, not the capacity.
+    pub kneed: bool,
     /// The final `(under, over)` rate bracket the bisection narrowed to
     /// (`over` is infinite when no measured rate ever missed).
     pub bracket: (f64, f64),
@@ -245,11 +250,12 @@ impl SlaReport {
         let probes: Vec<String> = self.probes.iter().map(RampStep::to_json).collect();
         format!(
             "{{\"target_p99_us\":{},\"max_rps\":{},\"p99_at_max_us\":{},\"met\":{},\
-             \"bracket_under_rps\":{},\"bracket_over_rps\":{},\"probes\":[{}]}}",
+             \"kneed\":{},\"bracket_under_rps\":{},\"bracket_over_rps\":{},\"probes\":[{}]}}",
             json_num(self.target_p99_us, 3),
             json_num(self.max_rps, 3),
             json_num(self.p99_at_max_us, 3),
             self.met,
+            self.kneed,
             json_num(self.bracket.0, 3),
             json_num(self.bracket.1, 3),
             probes.join(",")
@@ -270,8 +276,10 @@ impl SlaReport {
 /// p99 — an all-shed window — counts as a miss). Bisection then probes
 /// arithmetic midpoints via `measure(rate)` until the bracket shrinks
 /// to `rel_tol` or `max_iters` runs out. With no missing rate there is
-/// nothing to bisect toward (`bracket.1` is infinite); with no meeting
-/// rate the search reports `met: false` without probing.
+/// nothing to bisect toward: `bracket.1` is infinite and the report says
+/// `kneed: false`, so a caller can tell the ramp's ceiling from a
+/// measured capacity. With no meeting rate the search reports
+/// `met: false` without probing.
 ///
 /// # Panics
 ///
@@ -309,6 +317,7 @@ where
             max_rps: 0.0,
             p99_at_max_us: f64::NAN,
             met: false,
+            kneed: hi.is_finite(),
             bracket: (0.0, hi),
             probes: Vec::new(),
         };
@@ -338,6 +347,7 @@ where
         max_rps: lo.offered_rps,
         p99_at_max_us: lo.stats.p99_latency_us,
         met: true,
+        kneed: hi.is_finite(),
         bracket: (lo.offered_rps, hi),
         probes,
     }
@@ -471,6 +481,7 @@ mod tests {
         // 200 µs target: met up to ~1189 rps (100·(r/1000)⁴ ≤ 200).
         let sla = sla_search(&ramp, &SlaConfig::new(200.0), synthetic);
         assert!(sla.met);
+        assert!(sla.kneed, "a measured miss bounds the bracket");
         assert!(
             sla.max_rps > 1000.0 && sla.max_rps <= 1189.3,
             "max rps {} should bisect close under the 200 µs capacity",
@@ -483,6 +494,7 @@ mod tests {
         let json = sla.to_json();
         assert!(json.starts_with("{\"target_p99_us\":"));
         assert!(json.contains("\"probes\":["));
+        assert!(json.contains("\"met\":true,\"kneed\":true,"));
     }
 
     #[test]
@@ -510,6 +522,7 @@ mod tests {
             panic!("no probe should run when no ramp step met the target")
         });
         assert!(!sla.met);
+        assert!(sla.kneed, "the lightest step's miss bounds the bracket");
         assert_eq!(sla.max_rps, 0.0);
         assert!(sla.p99_at_max_us.is_nan());
     }
@@ -529,9 +542,14 @@ mod tests {
             panic!("nothing to bisect toward when no step missed")
         });
         assert!(sla.met);
+        assert!(
+            !sla.kneed,
+            "no measured rate missed: the ceiling is not a knee"
+        );
         assert_eq!(sla.max_rps, 80.0, "highest ramp rate wins");
         assert!(!sla.bracket.1.is_finite());
         assert!(sla.probes.is_empty());
+        assert!(sla.to_json().contains("\"met\":true,\"kneed\":false,"));
     }
 
     #[test]
@@ -562,6 +580,7 @@ mod tests {
         };
         let sla = sla_search(&ramp, &SlaConfig::new(100.0), nan_stats);
         assert!(sla.met);
+        assert!(sla.kneed, "an all-shed window is a measured miss");
         assert_eq!(sla.bracket.0, sla.max_rps);
         assert!(sla.bracket.1 <= 200.0, "the NaN step must cap the bracket");
     }

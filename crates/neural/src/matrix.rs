@@ -120,6 +120,22 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// A mutable view of row `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is out of bounds.
+    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        assert!(r < self.rows, "row {r} out of bounds");
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// The `cols × rows` transpose.
+    #[must_use]
+    pub fn transpose(&self) -> Matrix {
+        Self::from_fn(self.cols, self.rows, |r, c| self.data[c * self.cols + r])
+    }
+
     /// Flat read-only access to the storage (row-major).
     #[must_use]
     pub fn as_slice(&self) -> &[f64] {
@@ -146,21 +162,18 @@ impl Matrix {
     /// `y ← A·x` into a caller-provided buffer — the allocation-free form
     /// of [`matvec`](Self::matvec), same arithmetic.
     ///
+    /// Each `y[r]` is one dot product summed in ascending column order from
+    /// `+0.0`. Four rows run interleaved, so four independent add chains
+    /// overlap instead of one chain's latency bounding the loop; the order
+    /// within each row, and with it every bit, is unchanged.
+    ///
     /// # Panics
     ///
     /// Panics if `x.len() != cols` or `y.len() != rows`.
-    #[allow(clippy::needless_range_loop)] // row-major kernel: indexing is the clear form
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         assert_eq!(y.len(), self.rows, "matvec output length mismatch");
-        for r in 0..self.rows {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            let mut acc = 0.0;
-            for (a, b) in row.iter().zip(x) {
-                acc += a * b;
-            }
-            y[r] = acc;
-        }
+        dot_rows(&self.data, x, y);
     }
 
     /// `y = Aᵀ·x` (length `cols`) without materializing the transpose.
@@ -176,13 +189,18 @@ impl Matrix {
     }
 
     /// `y ← Aᵀ·x` into a caller-provided buffer — the allocation-free form
-    /// of [`matvec_transpose`](Self::matvec_transpose), same arithmetic
-    /// (including the zero-row skip).
+    /// of [`matvec_transpose`](Self::matvec_transpose), same arithmetic.
+    ///
+    /// An axpy over the rows of `A` that skips every row whose `x[r]` is
+    /// zero. On finite data the skip is exact: each `y[c]` starts at `+0.0`
+    /// and sums its terms in ascending `r`, such a sum is never `−0.0`, and
+    /// adding the skipped `±0.0` term would leave it unchanged. So `y[c]`
+    /// has the bits of the dot product `Σ_r A[r][c]·x[r]` that
+    /// [`matvec_into`](Self::matvec_into) computes on the transpose of `A`.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != rows` or `y.len() != cols`.
-    #[allow(clippy::needless_range_loop)] // row-major kernel: indexing is the clear form
     pub fn matvec_transpose_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.rows, "transpose matvec dimension mismatch");
         assert_eq!(
@@ -191,20 +209,16 @@ impl Matrix {
             "transpose matvec output length mismatch"
         );
         y.fill(0.0);
-        for r in 0..self.rows {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            let xr = x[r];
-            if xr == 0.0 {
-                continue;
-            }
-            for (c, a) in row.iter().enumerate() {
-                y[c] += a * xr;
-            }
-        }
+        axpy_rows(&self.data, x, y);
     }
 
     /// Rank-1 update `A += α·u·vᵀ` — the weight-gradient accumulation of
     /// backprop.
+    ///
+    /// Skips every row whose `α·u[r]` is zero. On finite data the skip is
+    /// exact as long as `A` holds no `−0.0` — true of any accumulator that
+    /// starts at `+0.0` and only ever adds — so the result has the bits of
+    /// the branch-free update.
     ///
     /// # Panics
     ///
@@ -223,26 +237,6 @@ impl Matrix {
                 continue;
             }
             let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            for (a, b) in row.iter_mut().zip(v) {
-                *a += s * b;
-            }
-        }
-    }
-
-    /// Fused rank-1 update `A += α·u·vᵀ` with **no** zero-skip branch:
-    /// the steady-state gradient accumulation of the backprop hot path,
-    /// where `u` is a dense error vector and [`add_outer`](Self::add_outer)'s
-    /// sparsity test would only mispredict. Identical results on finite
-    /// data (skipping a `0.0·v` contribution equals adding it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u.len() != rows` or `v.len() != cols`.
-    pub fn rank_one_add(&mut self, alpha: f64, u: &[f64], v: &[f64]) {
-        assert_eq!(u.len(), self.rows, "rank-1 row dimension mismatch");
-        assert_eq!(v.len(), self.cols, "rank-1 column dimension mismatch");
-        for (row, &ur) in self.data.chunks_exact_mut(self.cols).zip(u) {
-            let s = alpha * ur;
             for (a, b) in row.iter_mut().zip(v) {
                 *a += s * b;
             }
@@ -287,6 +281,51 @@ impl Matrix {
     #[must_use]
     pub fn to_rows(&self) -> Vec<Vec<f64>> {
         (0..self.rows).map(|r| self.row(r).to_vec()).collect()
+    }
+}
+
+/// `y[r] ← rows[r]·x` for the row-major `rows` (`x.len()` wide): each dot
+/// product summed in ascending column order from `+0.0`, four rows
+/// interleaved so four independent add chains overlap.
+pub(crate) fn dot_rows(rows: &[f64], x: &[f64], y: &mut [f64]) {
+    let n = x.len();
+    debug_assert_eq!(rows.len(), n * y.len());
+    let mut blocks = rows.chunks_exact(4 * n);
+    let mut out = y.chunks_exact_mut(4);
+    for (block, ys) in (&mut blocks).zip(&mut out) {
+        let (r0, rest) = block.split_at(n);
+        let (r1, rest) = rest.split_at(n);
+        let (r2, r3) = rest.split_at(n);
+        let mut acc = [0.0f64; 4];
+        for c in 0..n {
+            let xc = x[c];
+            acc[0] += r0[c] * xc;
+            acc[1] += r1[c] * xc;
+            acc[2] += r2[c] * xc;
+            acc[3] += r3[c] * xc;
+        }
+        ys.copy_from_slice(&acc);
+    }
+    for (row, yr) in blocks.remainder().chunks_exact(n).zip(out.into_remainder()) {
+        let mut acc = 0.0;
+        for (a, b) in row.iter().zip(x) {
+            acc += a * b;
+        }
+        *yr = acc;
+    }
+}
+
+/// `y += Σ_r x[r]·rows[r]` over the row-major `rows` (`y.len()` wide), in
+/// ascending `r`, skipping every row whose `x[r]` is zero.
+pub(crate) fn axpy_rows(rows: &[f64], x: &[f64], y: &mut [f64]) {
+    debug_assert_eq!(rows.len(), x.len() * y.len());
+    for (row, &xr) in rows.chunks_exact(y.len()).zip(x) {
+        if xr == 0.0 {
+            continue;
+        }
+        for (yc, a) in y.iter_mut().zip(row) {
+            *yc += a * xr;
+        }
     }
 }
 
@@ -394,34 +433,44 @@ mod tests {
     }
 
     #[test]
-    fn rank_one_add_matches_naive_outer_product_loop() {
+    fn add_outer_matches_naive_outer_product_loop_bitwise() {
         let mut rng = StdRng::seed_from_u64(9);
         let mut m = Matrix::random_uniform(5, 7, 1.0, &mut rng);
-        let naive_base = m.clone();
+        let mut naive = m.clone();
         let u: Vec<f64> = (0..5).map(|i| (i as f64 - 2.0) * 0.7).collect(); // includes u[2] == 0
         let v: Vec<f64> = (0..7).map(|i| (i as f64 * 1.3).sin()).collect();
         let alpha = -0.35;
-        m.rank_one_add(alpha, &u, &v);
-        let mut naive = naive_base.clone();
+        m.add_outer(alpha, &u, &v);
         for r in 0..5 {
             for c in 0..7 {
                 naive[(r, c)] += alpha * u[r] * v[c];
             }
         }
-        for r in 0..5 {
-            for c in 0..7 {
-                assert!(
-                    (m[(r, c)] - naive[(r, c)]).abs() < 1e-15,
-                    "({r},{c}): {} vs {}",
-                    m[(r, c)],
-                    naive[(r, c)]
-                );
-            }
-        }
-        // And bit-identical to the branchy add_outer on the same inputs.
-        let mut branchy = naive_base;
-        branchy.add_outer(alpha, &u, &v);
-        assert_eq!(m.as_slice(), branchy.as_slice());
+        assert_eq!(m.as_slice(), naive.as_slice());
+    }
+
+    #[test]
+    fn transposed_kernels_match_row_major_kernels_bitwise() {
+        // The trainer keeps weights input-major: Wᵀ·x by axpy with
+        // zero skip must equal W·x by dot products, and Wᵀ's dot
+        // products must equal W's transposed axpy, bit for bit.
+        let mut rng = StdRng::seed_from_u64(23);
+        let w = Matrix::random_uniform(6, 9, 1.5, &mut rng);
+        let wt = w.transpose();
+        assert_eq!(wt.transpose(), w);
+        assert_eq!((wt.rows(), wt.cols()), (9, 6));
+        let x: Vec<f64> = (0..9)
+            .map(|i| if i % 3 == 0 { 0.0 } else { (i as f64).cos() })
+            .collect();
+        assert_eq!(w.matvec(&x), wt.matvec_transpose(&x));
+        let d: Vec<f64> = (0..6).map(|i| (i as f64 * 0.7).sin() - 0.2).collect();
+        assert_eq!(w.matvec_transpose(&d), wt.matvec(&d));
+        // Gradient accumulation: Gᵀ += a·δᵀ is G += δ·aᵀ transposed.
+        let mut g = Matrix::zeros(6, 9);
+        let mut gt = Matrix::zeros(9, 6);
+        g.add_outer(1.0, &d, &x);
+        gt.add_outer(1.0, &x, &d);
+        assert_eq!(g.transpose(), gt);
     }
 
     #[test]

@@ -20,23 +20,48 @@
 //! The serial path runs the very same sharded code, making serial and
 //! parallel the same arithmetic by construction.
 //!
-//! The steady-state inner loop is allocation-free: traces, deltas, shard
-//! index lists and gradient accumulators all live in per-shard workspaces
-//! allocated once per `train` call ([`Mlp::forward_trace_into`],
-//! [`Matrix::rank_one_add`], [`Matrix::matvec_transpose_into`]).
+//! ## Input-major kernels
+//!
+//! For the duration of one `train` call every layer's weights, momentum
+//! velocities and shard gradients are held transposed, `inputs × outputs`,
+//! and written back row-major at the end. Each kernel is then an axpy over
+//! contiguous rows that vectorizes and skips zero inputs:
+//!
+//! * forward `z = Wᵀ-axpy(x)` ([`Matrix::matvec_transpose_into`]);
+//! * backward `δ_prev = Wᵀ·δ` ([`Matrix::matvec_into`]);
+//! * weight gradient `Gᵀ += a_prev·δᵀ` ([`Matrix::add_outer`]).
+//!
+//! When every training input is exactly `0.0` or `1.0` (`−0.0` counts as
+//! 0) — the MEI bit-coded interface, the CNN head's binary features — each
+//! sample's ascending set-bit list is computed once per call, and layer 0
+//! runs as `z += Wᵀ[i]` and `Gᵀ[i] += δ` over those bits only.
+//!
+//! The trained bits equal those of the row-major, multiply-every-term
+//! arithmetic on finite data. Every output still sums its terms in
+//! ascending input order; products commute exactly; `w·1.0 ≡ w`; and a
+//! skipped `w·0.0` term is `±0.0` added to an accumulator that starts at
+//! `+0.0` and therefore can never be `−0.0`, which leaves it unchanged.
+//! The fold and the momentum step are element-wise, so their layout is
+//! free; they run fused, one pass over each parameter array per
+//! mini-batch.
+//!
+//! The steady-state inner loop is allocation-free: activations, deltas,
+//! shard index lists and gradient accumulators all live in per-shard
+//! workspaces allocated once per `train` call.
 
 use std::fmt;
-use std::sync::{Mutex, RwLock};
+use std::sync::{Mutex, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
 use prng::rngs::StdRng;
 use prng::SeedableRng;
 use runtime::{resolve_threads, ThreadPool};
 
+use crate::activation::Activation;
 use crate::data::Dataset;
 use crate::loss::WeightedMse;
-use crate::matrix::Matrix;
-use crate::mlp::Mlp;
+use crate::matrix::{axpy_rows, dot_rows, Matrix};
+use crate::mlp::{Layer, Mlp};
 
 /// Largest number of gradient shards a mini-batch is split into.
 const MAX_SHARDS: usize = 8;
@@ -44,6 +69,18 @@ const MAX_SHARDS: usize = 8;
 /// Smallest shard worth accumulating separately: below this the per-shard
 /// zero + fold overhead dominates the per-sample arithmetic.
 const MIN_SHARD_SAMPLES: usize = 4;
+
+/// Elements per block of the fused fold + momentum step: one block of
+/// folded gradients (2 KiB) stays in L1 between the fold and the step.
+const FOLD_BLOCK: usize = 256;
+
+/// Fewest parameters per part worth a concurrent update task: below this
+/// the round's hand-off costs more than the fold it splits.
+const MIN_PART_PARAMS: usize = 2048;
+
+/// [`Crew::run`](runtime::Crew::run) argument of a momentum-update round;
+/// a gradient round passes its mini-batch start, always below this.
+const UPDATE_ROUND: usize = usize::MAX;
 
 /// Samples per gradient shard — a function of the batch size **only**
 /// (never the thread count), so the shard partition, and with it every
@@ -156,18 +193,236 @@ impl fmt::Display for TrainReport {
     }
 }
 
+/// One row block of every layer's input-major parameters: the unit a
+/// momentum-update task owns. Part 0 also holds the biases.
+struct Part {
+    /// Per layer: this part's rows of `Wᵀ`, row-major, `outputs` wide.
+    weights: Vec<Vec<f64>>,
+    /// Momentum velocities of `weights`.
+    vel_w: Vec<Vec<f64>>,
+    /// Per-layer biases (empty outside part 0).
+    biases: Vec<Vec<f64>>,
+    /// Momentum velocities of `biases`.
+    vel_b: Vec<Vec<f64>>,
+}
+
+/// The network as one `train` call holds it: input-major weights
+/// (`inputs × outputs`, see the [module docs](self)), each layer's rows
+/// split into contiguous parts that update tasks write concurrently.
+struct InputMajor {
+    parts: Vec<RwLock<Part>>,
+    /// Per layer: part `p` holds `Wᵀ` rows `bounds[l][p]..bounds[l][p + 1]`.
+    bounds: Vec<Vec<usize>>,
+    /// Per layer: the number of outputs, the width of a `Wᵀ` row.
+    widths: Vec<usize>,
+    activations: Vec<Activation>,
+}
+
+impl InputMajor {
+    /// `mlp` transposed, each layer's rows split into `parts` blocks.
+    fn new(mlp: &Mlp, parts: usize) -> Self {
+        assert!((1..=MAX_SHARDS).contains(&parts), "part count");
+        let layers = mlp.layers();
+        let bounds: Vec<Vec<usize>> = layers
+            .iter()
+            .map(|l| (0..=parts).map(|p| l.inputs() * p / parts).collect())
+            .collect();
+        let transposed: Vec<Matrix> = layers.iter().map(|l| l.weights.transpose()).collect();
+        let parts = (0..parts)
+            .map(|p| {
+                let weights: Vec<Vec<f64>> = transposed
+                    .iter()
+                    .zip(&bounds)
+                    .map(|(wt, b)| wt.as_slice()[b[p] * wt.cols()..b[p + 1] * wt.cols()].to_vec())
+                    .collect();
+                let biases: Vec<Vec<f64>> = layers
+                    .iter()
+                    .map(|l| if p == 0 { l.biases.clone() } else { Vec::new() })
+                    .collect();
+                RwLock::new(Part {
+                    vel_w: weights.iter().map(|w| vec![0.0; w.len()]).collect(),
+                    vel_b: biases.iter().map(|b| vec![0.0; b.len()]).collect(),
+                    weights,
+                    biases,
+                })
+            })
+            .collect();
+        Self {
+            parts,
+            bounds,
+            widths: layers.iter().map(Layer::outputs).collect(),
+            activations: layers.iter().map(|l| l.activation).collect(),
+        }
+    }
+
+    /// Every part read-locked: the network a shard task computes with.
+    fn read(&self) -> NetView<'_> {
+        NetView {
+            net: self,
+            parts: std::array::from_fn(|p| {
+                self.parts.get(p).map(|part| part.read().expect("net lock"))
+            }),
+        }
+    }
+
+    /// Fold the shards' gradients of part `p`'s rows (and, in part 0, of
+    /// the biases) in shard order and take their momentum step.
+    fn step_part(
+        &self,
+        p: usize,
+        shards: &[Option<RwLockReadGuard<'_, Workspace>>],
+        momentum: f64,
+        scale: f64,
+    ) {
+        let mut guard = self.parts[p].write().expect("net lock");
+        let part = &mut *guard;
+        let mut grads: [&[f64]; MAX_SHARDS] = [&[]; MAX_SHARDS];
+        let grads = &mut grads[..shards.len()];
+        for (l, &width) in self.widths.iter().enumerate() {
+            let rows = self.bounds[l][p] * width..self.bounds[l][p + 1] * width;
+            for (g, ws) in grads.iter_mut().zip(shards.iter().flatten()) {
+                *g = &ws.grad_w[l].as_slice()[rows.clone()];
+            }
+            fold_and_step(
+                &mut part.weights[l],
+                &mut part.vel_w[l],
+                grads,
+                momentum,
+                scale,
+            );
+            if p == 0 {
+                for (g, ws) in grads.iter_mut().zip(shards.iter().flatten()) {
+                    *g = &ws.grad_b[l];
+                }
+                fold_and_step(
+                    &mut part.biases[l],
+                    &mut part.vel_b[l],
+                    grads,
+                    momentum,
+                    scale,
+                );
+            }
+        }
+    }
+
+    /// Store the parameters back into `mlp`, row-major.
+    fn write_back(self, mlp: &mut Mlp) {
+        let parts: Vec<Part> = self
+            .parts
+            .into_iter()
+            .map(|p| p.into_inner().expect("net lock"))
+            .collect();
+        for (l, layer) in mlp.layers_mut().iter_mut().enumerate() {
+            let wt: Vec<f64> = parts
+                .iter()
+                .flat_map(|p| p.weights[l].iter().copied())
+                .collect();
+            let outputs = layer.outputs();
+            layer.weights = Matrix::from_fn(outputs, layer.inputs(), |r, c| wt[c * outputs + r]);
+            layer.biases.copy_from_slice(&parts[0].biases[l]);
+        }
+    }
+}
+
+/// An [`InputMajor`] with every part read-locked, and its kernels: each
+/// runs over the parts in ascending row order, so the part split never
+/// changes an operation or its order.
+struct NetView<'a> {
+    net: &'a InputMajor,
+    parts: [Option<RwLockReadGuard<'a, Part>>; MAX_SHARDS],
+}
+
+impl NetView<'_> {
+    fn rows(&self, l: usize, p: usize) -> &[f64] {
+        &self.parts[p].as_ref().expect("locked part").weights[l]
+    }
+
+    /// `z ← Wᵀ-axpy(x)` for layer `l`, zero inputs skipped.
+    fn forward(&self, l: usize, x: &[f64], z: &mut [f64]) {
+        z.fill(0.0);
+        let b = &self.net.bounds[l];
+        for p in 0..self.net.parts.len() {
+            axpy_rows(self.rows(l, p), &x[b[p]..b[p + 1]], z);
+        }
+    }
+
+    /// `z ← Σ Wᵀ[i]` over the ascending set inputs `bits` of layer 0.
+    fn forward_bits(&self, bits: &[usize], z: &mut [f64]) {
+        z.fill(0.0);
+        let b = &self.net.bounds[0];
+        let width = z.len();
+        let mut p = 0;
+        let mut rows = self.rows(0, 0);
+        for &i in bits {
+            while i >= b[p + 1] {
+                p += 1;
+                rows = self.rows(0, p);
+            }
+            let row = &rows[(i - b[p]) * width..][..width];
+            for (zj, w) in z.iter_mut().zip(row) {
+                *zj += w;
+            }
+        }
+    }
+
+    /// `prev ← Wᵀ·δ` for layer `l`.
+    fn backward(&self, l: usize, delta: &[f64], prev: &mut [f64]) {
+        let b = &self.net.bounds[l];
+        for p in 0..self.net.parts.len() {
+            dot_rows(self.rows(l, p), delta, &mut prev[b[p]..b[p + 1]]);
+        }
+    }
+
+    fn biases(&self, l: usize) -> &[f64] {
+        &self.parts[0].as_ref().expect("locked part").biases[l]
+    }
+}
+
+/// Each sample's ascending list of inputs equal to `1.0`, for a dataset
+/// whose every input is exactly `0.0` or `1.0`.
+struct SetBits {
+    /// `bits[starts[s]..starts[s + 1]]` are sample `s`'s set inputs.
+    starts: Vec<usize>,
+    bits: Vec<usize>,
+}
+
+impl SetBits {
+    /// The set-bit lists of `data`, or `None` when any input is neither
+    /// `0.0` nor `1.0` (`−0.0 == 0.0`, so it counts as 0).
+    fn of(data: &Dataset) -> Option<Self> {
+        let mut starts = Vec::with_capacity(data.len() + 1);
+        let mut bits = Vec::new();
+        starts.push(0);
+        for x in data.inputs() {
+            for (i, &v) in x.iter().enumerate() {
+                if v == 1.0 {
+                    bits.push(i);
+                } else if v != 0.0 {
+                    return None;
+                }
+            }
+            starts.push(bits.len());
+        }
+        Some(Self { starts, bits })
+    }
+
+    fn sample(&self, s: usize) -> &[usize] {
+        &self.bits[self.starts[s]..self.starts[s + 1]]
+    }
+}
+
 /// Per-shard scratch: every buffer forward + backward touches, allocated
 /// once per training run and reused by whichever worker claims the shard,
 /// so the steady-state inner loop performs zero heap allocation.
 struct Workspace {
-    /// Activation trace, `layers + 1` buffers ([`Mlp::forward_trace_into`]).
-    trace: Vec<Vec<f64>>,
-    /// Per-layer δ buffers, `deltas[l].len() == layers[l].outputs()`.
+    /// Per-layer activations, `acts[l].len() == outputs of layer l`.
+    acts: Vec<Vec<f64>>,
+    /// Per-layer δ buffers, shaped like `acts`.
     deltas: Vec<Vec<f64>>,
     /// This shard's sample indices, copied out of the shared shuffle order
     /// under a short lock.
     indices: Vec<usize>,
-    /// Per-layer weight-gradient accumulators.
+    /// Per-layer input-major weight-gradient accumulators.
     grad_w: Vec<Matrix>,
     /// Per-layer bias-gradient accumulators.
     grad_b: Vec<Vec<f64>>,
@@ -176,20 +431,19 @@ struct Workspace {
 }
 
 impl Workspace {
-    fn new(mlp: &Mlp, shard_capacity: usize) -> Self {
-        let layers = mlp.layers();
-        let mut trace = Vec::with_capacity(layers.len() + 1);
-        trace.push(vec![0.0; mlp.input_dim()]);
-        trace.extend(layers.iter().map(|l| vec![0.0; l.outputs()]));
+    fn new(net: &InputMajor, shard_capacity: usize) -> Self {
+        let grad_b: Vec<Vec<f64>> = net.widths.iter().map(|&w| vec![0.0; w]).collect();
         Self {
-            trace,
-            deltas: layers.iter().map(|l| vec![0.0; l.outputs()]).collect(),
+            acts: grad_b.clone(),
+            deltas: grad_b.clone(),
             indices: Vec::with_capacity(shard_capacity),
-            grad_w: layers
+            grad_w: net
+                .bounds
                 .iter()
-                .map(|l| Matrix::zeros(l.outputs(), l.inputs()))
+                .zip(&net.widths)
+                .map(|(b, &w)| Matrix::zeros(b[b.len() - 1], w))
                 .collect(),
-            grad_b: layers.iter().map(|l| vec![0.0; l.outputs()]).collect(),
+            grad_b,
             loss_sum: 0.0,
         }
     }
@@ -207,38 +461,71 @@ impl Workspace {
     /// Forward + backward every sample in `self.indices`, accumulating
     /// gradients and loss. This is *the* trainer arithmetic: the serial
     /// path, every parallel path, and the gradient checker all run this
-    /// exact code over the same fixed shard partition.
-    fn accumulate(&mut self, mlp: &Mlp, data: &Dataset, loss: &WeightedMse) {
-        let layers = mlp.layers();
-        let last = layers.len() - 1;
+    /// exact code over the same fixed shard partition. `set_bits` is the
+    /// dataset's set-bit lists when its inputs are all binary.
+    fn accumulate(
+        &mut self,
+        net: &NetView<'_>,
+        data: &Dataset,
+        loss: &WeightedMse,
+        set_bits: Option<&SetBits>,
+    ) {
+        let activations = &net.net.activations;
+        let last = activations.len() - 1;
         for pos in 0..self.indices.len() {
-            let (x, t) = data.sample(self.indices[pos]);
-            mlp.forward_trace_into(x, &mut self.trace);
-            let output = &self.trace[last + 1];
+            let sample = self.indices[pos];
+            let (x, t) = data.sample(sample);
+            let bits = set_bits.map(|b| b.sample(sample));
+
+            // Forward: z = Wᵀ-axpy over the nonzero inputs, then + b, f.
+            for l in 0..=last {
+                let (below, rest) = self.acts.split_at_mut(l);
+                let z = &mut rest[0];
+                match bits {
+                    Some(bits) if l == 0 => net.forward_bits(bits, z),
+                    _ => net.forward(l, if l == 0 { x } else { &below[l - 1] }, z),
+                }
+                for (zj, b) in z.iter_mut().zip(net.biases(l)) {
+                    *zj += b;
+                }
+                activations[l].apply_in_place(z);
+            }
+            let output = &self.acts[last];
             self.loss_sum += loss.loss(t, output);
 
             // δ at the output layer: ∂L/∂o ⊙ f'(o).
             let out_delta = &mut self.deltas[last];
             loss.gradient_into(t, output, out_delta);
-            let act = layers[last].activation;
+            let act = activations[last];
             for (d, &o) in out_delta.iter_mut().zip(output.iter()) {
                 *d *= act.derivative_from_output(o);
             }
 
             // Backward through the layers.
             for l in (0..=last).rev() {
-                let a_prev = &self.trace[l];
                 let (lower, upper) = self.deltas.split_at_mut(l);
                 let delta = &upper[0];
-                self.grad_w[l].rank_one_add(1.0, delta, a_prev);
+                match bits {
+                    Some(bits) if l == 0 => {
+                        for &i in bits {
+                            for (g, d) in self.grad_w[0].row_mut(i).iter_mut().zip(delta) {
+                                *g += d;
+                            }
+                        }
+                    }
+                    _ => {
+                        let a_prev = if l == 0 { x } else { &self.acts[l - 1] };
+                        self.grad_w[l].add_outer(1.0, a_prev, delta);
+                    }
+                }
                 for (gb, d) in self.grad_b[l].iter_mut().zip(delta.iter()) {
                     *gb += d;
                 }
                 if l > 0 {
                     let prev = &mut lower[l - 1];
-                    layers[l].weights.matvec_transpose_into(delta, prev);
-                    let act = layers[l - 1].activation;
-                    for (d, &a) in prev.iter_mut().zip(a_prev.iter()) {
+                    net.backward(l, delta, prev);
+                    let act = activations[l - 1];
+                    for (d, &a) in prev.iter_mut().zip(self.acts[l - 1].iter()) {
                         *d *= act.derivative_from_output(a);
                     }
                 }
@@ -247,12 +534,21 @@ impl Workspace {
     }
 }
 
+/// `dst += src` element-wise — the one fold step of the trainer and the
+/// gradient checker.
+fn add_into(dst: &mut [f64], src: &[f64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
+}
+
 /// Mean-loss gradients of `mlp` over all of `data` under `loss`, computed
 /// by the exact shard-accumulation path [`Trainer::train`] uses: the fixed
 /// contiguous shard partition of one dataset-sized batch, per-shard
 /// accumulation, and an ordered shard-index fold. Returns per-layer weight
-/// and bias gradients; [`crate::gradcheck::check_gradients`] pins this
-/// against central finite differences.
+/// (row-major, `outputs × inputs`) and bias gradients;
+/// [`crate::gradcheck::check_gradients`] pins this against central finite
+/// differences.
 ///
 /// # Panics
 ///
@@ -267,49 +563,68 @@ pub fn sharded_mean_gradients(
     assert_eq!(loss.ports(), mlp.output_dim(), "loss port count");
     let n = data.len();
     let shard = shard_samples(n);
-    let mut ws = Workspace::new(mlp, shard);
-    let mut grad_w: Vec<Matrix> = mlp
-        .layers()
-        .iter()
-        .map(|l| Matrix::zeros(l.outputs(), l.inputs()))
-        .collect();
-    let mut grad_b: Vec<Vec<f64>> = mlp
-        .layers()
-        .iter()
-        .map(|l| vec![0.0; l.outputs()])
-        .collect();
+    let net = InputMajor::new(mlp, 1);
+    let view = net.read();
+    let set_bits = SetBits::of(data);
+    let mut ws = Workspace::new(&net, shard);
+    // The fold target: a workspace's zeroed gradient accumulators.
+    let mut sum = Workspace::new(&net, 0);
     let mut start = 0usize;
     while start < n {
         let hi = (start + shard).min(n);
         ws.indices.clear();
         ws.indices.extend(start..hi);
         ws.reset();
-        ws.accumulate(mlp, data, loss);
-        fold_workspace(&ws, &mut grad_w, &mut grad_b);
+        ws.accumulate(&view, data, loss, set_bits.as_ref());
+        for (dst, src) in sum.grad_w.iter_mut().zip(&ws.grad_w) {
+            add_into(dst.as_mut_slice(), src.as_slice());
+        }
+        for (dst, src) in sum.grad_b.iter_mut().zip(&ws.grad_b) {
+            add_into(dst, src);
+        }
         start = hi;
     }
     let inv = 1.0 / n as f64;
-    for g in &mut grad_w {
-        g.scale(inv);
-    }
-    for g in &mut grad_b {
+    let grad_w = sum
+        .grad_w
+        .iter()
+        .map(|g| {
+            let mut g = g.transpose();
+            g.scale(inv);
+            g
+        })
+        .collect();
+    for g in &mut sum.grad_b {
         for v in g {
             *v *= inv;
         }
     }
-    (grad_w, grad_b)
+    (grad_w, sum.grad_b)
 }
 
-/// Add one shard's accumulated gradients into the global accumulators —
-/// the single fold step both the trainer and the gradient checker use.
-fn fold_workspace(ws: &Workspace, grad_w: &mut [Matrix], grad_b: &mut [Vec<f64>]) {
-    for (dst, src) in grad_w.iter_mut().zip(&ws.grad_w) {
-        dst.add_scaled(1.0, src);
-    }
-    for (dst, src) in grad_b.iter_mut().zip(&ws.grad_b) {
-        for (d, s) in dst.iter_mut().zip(src.iter()) {
-            *d += s;
+/// Fold the shards' gradients of one parameter array in shard order and
+/// take the momentum step, fused into one blocked pass: per element
+/// `g = ((0 + g₀) + g₁) + …`, `v ← μ·v − s·g`, `θ ← θ + v` — the same
+/// operations, in the same order, as separate fold, scale and add passes.
+fn fold_and_step(params: &mut [f64], vel: &mut [f64], grads: &[&[f64]], momentum: f64, scale: f64) {
+    let mut g = [0.0f64; FOLD_BLOCK];
+    let mut start = 0;
+    while start < params.len() {
+        let end = (start + FOLD_BLOCK).min(params.len());
+        let g = &mut g[..end - start];
+        g.fill(0.0);
+        for grad in grads {
+            add_into(g, &grad[start..end]);
         }
+        for ((p, v), &gi) in params[start..end]
+            .iter_mut()
+            .zip(&mut vel[start..end])
+            .zip(g.iter())
+        {
+            *v = momentum * *v - scale * gi;
+            *p += *v;
+        }
+        start = end;
     }
 }
 
@@ -387,50 +702,57 @@ impl Trainer {
         let shard = shard_samples(batch);
         let slots = batch.div_ceil(shard);
         let workers = resolve_threads(self.config.threads).min(slots).max(1);
+        let set_bits = SetBits::of(data);
 
-        // Shared state for the crew: the shuffle order, the current network
-        // (read by shard tasks, write-locked only between rounds for the
-        // momentum update), and one workspace per shard slot — per-*shard*,
-        // not per-worker, so accumulation groups are fixed by the partition
-        // and the ordered fold below is thread-count invariant.
+        // Shared state for the crew: the shuffle order, the network split
+        // into one part per worker (read by shard tasks, each part written
+        // by its own update task), and one workspace per shard slot —
+        // per-*shard*, not per-worker, so accumulation groups are fixed by
+        // the partition and the ordered fold is thread-count invariant.
+        // The part split only decides which task updates which elements.
         let order: Mutex<Vec<usize>> = Mutex::new((0..n).collect());
-        let net: RwLock<Mlp> = RwLock::new(mlp.clone());
-        let workspaces: Vec<Mutex<Workspace>> = (0..slots)
-            .map(|_| Mutex::new(Workspace::new(mlp, shard)))
+        let parts = workers.min(mlp.param_count() / MIN_PART_PARAMS).max(1);
+        let net = InputMajor::new(mlp, parts);
+        let workspaces: Vec<RwLock<Workspace>> = (0..slots)
+            .map(|_| RwLock::new(Workspace::new(&net, shard)))
             .collect();
-
+        // `(shards, lr/|batch|)` of the update round in flight.
+        let step: Mutex<(usize, f64)> = Mutex::new((0, 0.0));
+        let momentum = self.config.momentum;
         let mut lr = self.config.learning_rate;
-        // Momentum velocity buffers, one per layer.
-        let mut vel_w: Vec<Matrix> = mlp
-            .layers()
-            .iter()
-            .map(|l| Matrix::zeros(l.outputs(), l.inputs()))
-            .collect();
-        let mut vel_b: Vec<Vec<f64>> = mlp
-            .layers()
-            .iter()
-            .map(|l| vec![0.0; l.outputs()])
-            .collect();
-        // Folded gradient accumulators.
-        let mut grad_w: Vec<Matrix> = vel_w.clone();
-        let mut grad_b: Vec<Vec<f64>> = vel_b.clone();
 
-        // The per-round task: shard `s` of the mini-batch starting at
-        // `chunk_start`. Everything it needs is a pure function of those
-        // two numbers plus shared state, so the dispatch is two words.
-        let task = |chunk_start: usize, s: usize| {
+        // Fold the shard gradients of part `p` and take its momentum step
+        // v ← μ·v − (lr/|batch|)·∇ ; θ ← θ + v.
+        let update = |p: usize| {
+            let (used, scale) = *step.lock().expect("step lock");
+            let shards: [Option<RwLockReadGuard<'_, Workspace>>; MAX_SHARDS] =
+                std::array::from_fn(|s| {
+                    (s < used).then(|| workspaces[s].read().expect("workspace lock"))
+                });
+            net.step_part(p, &shards[..used], momentum, scale);
+        };
+
+        // The per-round task. A gradient round passes the mini-batch start
+        // and task `s` accumulates shard `s`; an update round passes
+        // `UPDATE_ROUND` and task `p` updates part `p`. Everything else is
+        // shared state, so the dispatch is two words.
+        let task = |arg: usize, i: usize| {
+            if arg == UPDATE_ROUND {
+                update(i);
+                return;
+            }
+            let chunk_start = arg;
             let len = (n - chunk_start).min(batch);
-            let lo = chunk_start + s * shard;
-            let hi = chunk_start + ((s + 1) * shard).min(len);
-            let mut ws = workspaces[s].lock().expect("workspace lock");
+            let lo = chunk_start + i * shard;
+            let hi = chunk_start + ((i + 1) * shard).min(len);
+            let mut ws = workspaces[i].write().expect("workspace lock");
             {
                 let order = order.lock().expect("order lock");
                 ws.indices.clear();
                 ws.indices.extend_from_slice(&order[lo..hi]);
             }
             ws.reset();
-            let net = net.read().expect("net lock");
-            ws.accumulate(&net, data, &loss);
+            ws.accumulate(&net.read(), data, &loss, set_bits.as_ref());
         };
 
         let pool = ThreadPool::new(workers);
@@ -448,34 +770,16 @@ impl Trainer {
                 let mut chunk_start = 0usize;
                 while chunk_start < n {
                     let len = (n - chunk_start).min(batch);
-                    crew.run(chunk_start, len.div_ceil(shard));
-
-                    // Ordered reduction: fold shard gradients strictly in
-                    // shard-index order so the f64 sums group identically
-                    // at every thread count.
-                    for g in &mut grad_w {
-                        g.fill_zero();
+                    let used = len.div_ceil(shard);
+                    crew.run(chunk_start, used);
+                    for ws in &workspaces[..used] {
+                        epoch_loss += ws.read().expect("workspace lock").loss_sum;
                     }
-                    for g in &mut grad_b {
-                        g.fill(0.0);
-                    }
-                    for slot in workspaces.iter().take(len.div_ceil(shard)) {
-                        let ws = slot.lock().expect("workspace lock");
-                        fold_workspace(&ws, &mut grad_w, &mut grad_b);
-                        epoch_loss += ws.loss_sum;
-                    }
-
-                    // Momentum update: v ← μ·v − (lr/|batch|)·∇ ; θ ← θ + v.
-                    let scale = lr / len as f64;
-                    let mut net = net.write().expect("net lock");
-                    for (l, layer) in net.layers_mut().iter_mut().enumerate() {
-                        vel_w[l].scale(self.config.momentum);
-                        vel_w[l].add_scaled(-scale, &grad_w[l]);
-                        layer.weights.add_scaled(1.0, &vel_w[l]);
-                        for j in 0..layer.biases.len() {
-                            vel_b[l][j] = self.config.momentum * vel_b[l][j] - scale * grad_b[l][j];
-                            layer.biases[j] += vel_b[l][j];
-                        }
+                    *step.lock().expect("step lock") = (used, lr / len as f64);
+                    if parts == 1 {
+                        update(0);
+                    } else {
+                        crew.run(UPDATE_ROUND, parts);
                     }
                     chunk_start += len;
                 }
@@ -490,7 +794,7 @@ impl Trainer {
             (history, epochs_run)
         });
 
-        *mlp = net.into_inner().expect("net lock poisoned");
+        net.write_back(mlp);
         let wall = started.elapsed().as_secs_f64();
         let samples = (epochs_run * n) as f64;
         TrainReport {

@@ -66,10 +66,7 @@ pub fn mode() -> AffinityMode {
 pub fn pin_worker(index: usize) -> bool {
     match mode() {
         AffinityMode::Disabled => false,
-        AffinityMode::Compact => {
-            let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-            pin_to_cpu(index % cpus)
-        }
+        AffinityMode::Compact => pin_to_cpu(index % crate::pool::hardware_threads()),
     }
 }
 

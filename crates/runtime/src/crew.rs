@@ -6,13 +6,27 @@
 //! microseconds of arithmetic — about the cost of a single thread spawn.
 //! [`ThreadPool::crew`] spawns the workers **once**, then lets the caller
 //! dispatch any number of rounds over the same task closure without
-//! touching the OS again; between rounds the workers sleep on a condvar.
+//! touching the OS again.
 //!
-//! The design stays inside safe Rust (the crate forbids `unsafe`): the one
-//! task closure is created *before* the workers are spawned, so they can
-//! borrow it directly for the whole session. Anything that varies per
-//! round travels either through the `usize` argument of [`Crew::run`] or
-//! through shared state (`Mutex`/`RwLock`/atomics) the closure captures.
+//! ## Spin, then park
+//!
+//! A condvar wake costs tens of microseconds on a busy host, as much as a
+//! whole round of work. So between rounds an idle worker first spins on
+//! the published round number, and the caller waiting for a round's
+//! stragglers spins on the count of unfinished tasks, each for at most
+//! [`SPIN_BUDGET`]; only then do they park on a condvar. A round
+//! dispatched within the budget is picked up without a syscall, and a
+//! notify is sent only when someone is actually parked. Threads spin only
+//! when the crew has no more threads than the machine
+//! ([`crate::hardware_threads`]): an oversubscribed crew would
+//! spin on the very cores its peers need, so it always parks.
+//!
+//! The design stays inside safe Rust (the crate forbids `unsafe` outside
+//! the affinity shim): the one task closure is created *before* the
+//! workers are spawned, so they can borrow it directly for the whole
+//! session. Anything that varies per round travels either through the
+//! `usize` argument of [`Crew::run`] or through shared state
+//! (`Mutex`/`RwLock`/atomics) the closure captures.
 //!
 //! ## Determinism
 //!
@@ -32,8 +46,9 @@
 //! before re-raising, so the scope never deadlocks.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use crate::pool::ThreadPool;
 
@@ -42,27 +57,46 @@ use crate::pool::ThreadPool;
 const INDEX_BITS: u32 = 32;
 const INDEX_MASK: u64 = (1 << INDEX_BITS) - 1;
 
+/// Longest an idle worker, or the caller waiting for a round's
+/// stragglers, spins before parking on a condvar.
+pub const SPIN_BUDGET: Duration = Duration::from_micros(150);
+
+/// Spin iterations between two reads of the clock.
+const SPINS_PER_CLOCK_READ: u32 = 64;
+
 /// Coordination state shared by the caller and the crew workers.
 struct Shared<'a> {
     /// The one round closure: `task(arg, index)`.
     task: &'a (dyn Fn(usize, usize) + Sync),
     state: Mutex<State>,
-    /// Workers sleep here between rounds.
+    /// Workers park here between rounds.
     go: Condvar,
-    /// The caller sleeps here waiting for round stragglers.
+    /// The caller parks here waiting for round stragglers.
     done: Condvar,
     /// Claim word, `round_tag << 32 | next_index`. Claims go through
     /// compare-exchange so a straggler still holding last round's tag can
     /// never claim (or disturb) an index of the current one.
     cursor: AtomicU64,
+    /// The latest dispatched round (`State::round`), for spinning workers.
+    round: AtomicU64,
+    /// Tasks of the round in flight that have not finished yet.
+    remaining: AtomicUsize,
+    /// Set once when the body returns; spinning workers watch it too.
+    shutdown: AtomicBool,
+    /// Whether idle threads spin before parking.
+    spin: bool,
 }
 
 struct State {
     round: u64,
     arg: usize,
     tasks: usize,
-    remaining: usize,
-    shutdown: bool,
+    /// Workers parked on `go`.
+    parked_workers: usize,
+    /// Whether the caller is parked on `done`.
+    caller_parked: bool,
+    /// Times any thread parked, for tests of the spin/park paths.
+    parks: u64,
     /// Lowest-indexed panic of the round in flight, if any.
     panic: Option<(usize, Box<dyn std::any::Any + Send + 'static>)>,
 }
@@ -91,31 +125,56 @@ impl Crew<'_> {
             (tasks as u64) <= INDEX_MASK,
             "crew round of {tasks} tasks exceeds the claim-index width"
         );
+        let shared = self.shared;
         let round;
+        let wake;
         {
-            let mut st = self.shared.state.lock().expect("crew state");
+            let mut st = shared.state.lock().expect("crew state");
             st.round += 1;
             round = st.round;
             st.arg = arg;
             st.tasks = tasks;
-            st.remaining = tasks;
-            // Publish the claim word before waking anyone. A straggler
+            shared.remaining.store(tasks, Ordering::SeqCst);
+            // Publish the claim word before the round number. A straggler
             // from a previous round compare-exchanges against the old tag
             // and fails harmlessly.
-            self.shared
+            shared
                 .cursor
                 .store((round & INDEX_MASK) << INDEX_BITS, Ordering::SeqCst);
+            shared.round.store(round, Ordering::SeqCst);
+            wake = st.parked_workers > 0;
         }
-        self.shared.go.notify_all();
-        execute_round(self.shared, round, arg, tasks);
-        let mut st = self.shared.state.lock().expect("crew state");
-        while st.remaining > 0 {
-            st = self.shared.done.wait(st).expect("crew state");
+        if wake {
+            shared.go.notify_all();
         }
+        execute_round(shared, round, arg, tasks);
+        let finished = || shared.remaining.load(Ordering::Acquire) == 0;
+        if shared.spin {
+            spin_until(finished);
+        }
+        let mut st = shared.state.lock().expect("crew state");
+        while !finished() {
+            st.caller_parked = true;
+            st.parks += 1;
+            st = shared.done.wait(st).expect("crew state");
+        }
+        st.caller_parked = false;
         if let Some((_, payload)) = st.panic.take() {
             drop(st);
             resume_unwind(payload);
         }
+    }
+
+    /// Whether this crew's idle threads spin before parking.
+    #[cfg(test)]
+    fn spins(&self) -> bool {
+        self.shared.spin
+    }
+
+    /// Times any thread of this crew has parked so far.
+    #[cfg(test)]
+    fn parks(&self) -> u64 {
+        self.shared.state.lock().expect("crew state").parks
     }
 }
 
@@ -125,7 +184,9 @@ impl ThreadPool {
     /// times, each round executing the **same** `task` closure over fresh
     /// `(arg, index)` pairs. Workers are spawned once, before `body`
     /// starts, and joined after it returns — per-round dispatch costs a
-    /// mutex round-trip and a condvar wake, not a thread spawn.
+    /// few atomic operations while the crew spins, and a mutex round-trip
+    /// plus a condvar wake once it has parked ([module docs](self)), never
+    /// a thread spawn.
     ///
     /// With one thread the crew has no workers and `run` executes every
     /// task inline on the caller, through the same claim loop.
@@ -146,13 +207,18 @@ impl ThreadPool {
                 round: 0,
                 arg: 0,
                 tasks: 0,
-                remaining: 0,
-                shutdown: false,
+                parked_workers: 0,
+                caller_parked: false,
+                parks: 0,
                 panic: None,
             }),
             go: Condvar::new(),
             done: Condvar::new(),
             cursor: AtomicU64::new(0),
+            round: AtomicU64::new(0),
+            remaining: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+            spin: workers <= crate::pool::hardware_threads(),
         };
         std::thread::scope(|scope| {
             let shared = &shared;
@@ -166,8 +232,8 @@ impl ThreadPool {
             let crew = Crew { shared };
             let out = catch_unwind(AssertUnwindSafe(|| body(&crew)));
             {
-                let mut st = shared.state.lock().expect("crew state");
-                st.shutdown = true;
+                let _st = shared.state.lock().expect("crew state");
+                shared.shutdown.store(true, Ordering::SeqCst);
             }
             shared.go.notify_all();
             match out {
@@ -178,21 +244,46 @@ impl ThreadPool {
     }
 }
 
-/// A worker: sleep until a round newer than the last one seen (or
-/// shutdown), then help execute it.
+/// Spin until `ready()` holds or [`SPIN_BUDGET`] has passed.
+fn spin_until(ready: impl Fn() -> bool) {
+    let start = Instant::now();
+    loop {
+        for _ in 0..SPINS_PER_CLOCK_READ {
+            if ready() {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        if start.elapsed() >= SPIN_BUDGET {
+            return;
+        }
+    }
+}
+
+/// A worker: wait — spinning, then parked — until a round newer than the
+/// last one seen (or shutdown), then help execute it.
 fn worker_loop(shared: &Shared<'_>) {
     let mut seen = 0u64;
     loop {
+        if shared.spin {
+            spin_until(|| {
+                shared.round.load(Ordering::Acquire) != seen
+                    || shared.shutdown.load(Ordering::Acquire)
+            });
+        }
         let (round, arg, tasks) = {
             let mut st = shared.state.lock().expect("crew state");
             loop {
-                if st.shutdown {
+                if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
                 if st.round != seen {
                     break;
                 }
+                st.parked_workers += 1;
+                st.parks += 1;
                 st = shared.go.wait(st).expect("crew state");
+                st.parked_workers -= 1;
             }
             seen = st.round;
             (st.round, st.arg, st.tasks)
@@ -226,16 +317,21 @@ fn execute_round(shared: &Shared<'_>, round: u64, arg: usize, tasks: usize) {
             }
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| (shared.task)(arg, index)));
-        let mut st = shared.state.lock().expect("crew state");
         if let Err(payload) = outcome {
+            let mut st = shared.state.lock().expect("crew state");
             if st.panic.as_ref().is_none_or(|(j, _)| index < *j) {
                 st.panic = Some((index, payload));
             }
         }
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            drop(st);
-            shared.done.notify_all();
+        // The last task of the round wakes the caller if it parked. The
+        // caller sets `caller_parked` under the lock after seeing tasks
+        // remain, so taking the lock here cannot miss it.
+        if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let st = shared.state.lock().expect("crew state");
+            if st.caller_parked {
+                drop(st);
+                shared.done.notify_all();
+            }
         }
     }
 }
@@ -243,7 +339,6 @@ fn execute_round(shared: &Shared<'_>, round: u64, arg: usize, tasks: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn every_task_of_every_round_runs_exactly_once() {
@@ -396,5 +491,106 @@ mod tests {
             .flat_map(|r| (0..16u64).map(move |i| (r * 100 + i) * (r * 100 + i)))
             .sum();
         assert_eq!(total, expect);
+    }
+
+    /// Sum of `task(arg, i) = arg·1000 + i` over the round, checked per
+    /// round: every index ran exactly once.
+    fn checked_rounds(threads: usize, rounds: usize, gap: Duration) -> u64 {
+        let pool = ThreadPool::new(threads);
+        let hits: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(0)).collect();
+        pool.crew(
+            |arg, i| {
+                hits[i].fetch_add(arg, Ordering::SeqCst);
+            },
+            |crew| {
+                for round in 1..=rounds {
+                    crew.run(round, 16);
+                    let expect: usize = (1..=round).sum();
+                    for (i, h) in hits.iter().enumerate() {
+                        assert_eq!(h.load(Ordering::SeqCst), expect, "round {round} slot {i}");
+                    }
+                    if !gap.is_zero() {
+                        std::thread::sleep(gap);
+                    }
+                }
+                crew.parks()
+            },
+        )
+    }
+
+    #[test]
+    fn back_to_back_rounds_complete_on_the_spin_path() {
+        let threads = 2.min(crate::hardware_threads()).max(1);
+        let pool = ThreadPool::new(threads);
+        assert!(pool.crew(|_, _| {}, |crew| crew.spins()));
+        // Hundreds of rounds dispatched with no gap: the spinning workers
+        // pick each one up; every index still runs exactly once.
+        let _ = checked_rounds(threads, 400, Duration::ZERO);
+    }
+
+    #[test]
+    fn rounds_after_a_gap_longer_than_the_spin_budget_park_and_wake() {
+        let gap = SPIN_BUDGET * 20;
+        let parks = checked_rounds(2, 8, gap);
+        if crate::hardware_threads() >= 2 {
+            // The idle worker outlives its spin budget in every gap, so
+            // it must have parked, and each round must still wake it.
+            assert!(parks > 0, "no thread parked across {gap:?} gaps");
+        }
+    }
+
+    #[test]
+    fn shutdown_while_workers_spin_returns_promptly() {
+        // The body returns right after a round, while the workers are
+        // still spinning on the round number: the scope must join them.
+        for threads in [2, 3] {
+            let pool = ThreadPool::new(threads);
+            for _ in 0..50 {
+                let started = std::time::Instant::now();
+                pool.crew(|_, _| {}, |crew| crew.run(0, 4));
+                assert!(
+                    started.elapsed() < Duration::from_secs(5),
+                    "crew of {threads} hung at shutdown"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lowest_index_panic_is_re_raised_on_every_spinning_round() {
+        let threads = 2.min(crate::hardware_threads()).max(1);
+        let pool = ThreadPool::new(threads);
+        let completed = AtomicUsize::new(0);
+        pool.crew(
+            |arg, i| {
+                if i >= arg && i % 3 == arg % 3 {
+                    panic!("boom at {i}");
+                }
+                completed.fetch_add(1, Ordering::SeqCst);
+            },
+            |crew| {
+                for arg in 0..30 {
+                    let payload = catch_unwind(AssertUnwindSafe(|| crew.run(arg, 32)))
+                        .expect_err("a task of every round panics");
+                    let message = payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .unwrap_or_default();
+                    assert_eq!(message, format!("boom at {arg}"), "round {arg}");
+                }
+            },
+        );
+        let panicking: usize = (0..30)
+            .map(|arg| (0..32).filter(|i| *i >= arg && i % 3 == arg % 3).count())
+            .sum();
+        assert_eq!(completed.load(Ordering::SeqCst), 30 * 32 - panicking);
+    }
+
+    #[test]
+    fn oversubscribed_crew_completes_without_spinning() {
+        let threads = crate::hardware_threads() + 2;
+        let pool = ThreadPool::new(threads);
+        assert!(!pool.crew(|_, _| {}, |crew| crew.spins()));
+        let _ = checked_rounds(threads, 50, Duration::ZERO);
     }
 }

@@ -93,5 +93,5 @@ pub use policy::{
     CostModel, LeastLoaded, PlacementPolicy, PoolState, RoundRobin, SizeAware, WearAware,
     QUARANTINE_COST,
 };
-pub use pool::{resolve_threads, ThreadPool};
+pub use pool::{hardware_threads, resolve_threads, ThreadPool};
 pub use stats::{json_escape, json_num, percentile, ChipStats, ServeStats};

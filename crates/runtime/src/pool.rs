@@ -28,7 +28,7 @@
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// What one task produced: its value, or the panic payload it raised.
 enum TaskOutcome<R> {
@@ -36,14 +36,25 @@ enum TaskOutcome<R> {
     Panicked(Box<dyn std::any::Any + Send + 'static>),
 }
 
-/// The number of workers a `threads` knob resolves to: the value itself,
-/// or [`std::thread::available_parallelism`] when it is `0` ("auto").
+/// [`std::thread::available_parallelism`] (1 if unknown), read once per
+/// process: on Linux each call re-reads the cgroup CPU quota, tens of
+/// microseconds — as much as a whole training epoch of a small network.
 #[must_use]
-pub fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
+pub fn hardware_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
         std::thread::available_parallelism()
             .map(NonZeroUsize::get)
             .unwrap_or(1)
+    })
+}
+
+/// The number of workers a `threads` knob resolves to: the value itself,
+/// or [`hardware_threads`] when it is `0` ("auto").
+#[must_use]
+pub fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        hardware_threads()
     } else {
         threads
     }
