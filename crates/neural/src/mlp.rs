@@ -188,8 +188,8 @@ impl Mlp {
     /// Forward pass recording every layer activation into `trace`, reusing
     /// its buffers: after the call `trace[0]` is the input and
     /// `trace[l + 1]` the activation of layer `l`. Buffers are (re)sized
-    /// only when the shape changes, so steady-state reuse — the trainer's
-    /// inner loop — performs zero heap allocation.
+    /// only when the shape changes, so steady-state reuse performs zero
+    /// heap allocation.
     ///
     /// # Panics
     ///

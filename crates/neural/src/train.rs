@@ -24,26 +24,34 @@
 //!
 //! For the duration of one `train` call every layer's weights, momentum
 //! velocities and shard gradients are held transposed, `inputs × outputs`,
-//! and written back row-major at the end. Each kernel is then an axpy over
-//! contiguous rows that vectorizes and skips zero inputs:
+//! and written back row-major at the end. Every kernel then walks
+//! contiguous rows:
 //!
-//! * forward `z = Wᵀ-axpy(x)` ([`Matrix::matvec_transpose_into`]);
-//! * backward `δ_prev = Wᵀ·δ` ([`Matrix::matvec_into`]);
-//! * weight gradient `Gᵀ += a_prev·δᵀ` ([`Matrix::add_outer`]).
+//! * forward `z = Wᵀ-axpy(x)`, an axpy that vectorizes and skips zero
+//!   inputs (the kernel of [`Matrix::matvec_transpose_into`]);
+//! * backward `δ_prev = Wᵀ·δ`, four interleaved dot products (the kernel
+//!   of [`Matrix::matvec_into`]);
+//! * weight gradient `Gᵀ += a_prev·δᵀ`, skipping zero inputs
+//!   ([`Matrix::add_outer`]).
 //!
 //! When every training input is exactly `0.0` or `1.0` (`−0.0` counts as
 //! 0) — the MEI bit-coded interface, the CNN head's binary features — each
 //! sample's ascending set-bit list is computed once per call, and layer 0
 //! runs as `z += Wᵀ[i]` and `Gᵀ[i] += δ` over those bits only.
 //!
+//! The fold of the shard gradients and the momentum step run fused, one
+//! blocked pass per parameter array. When the network is large enough,
+//! each layer's `Wᵀ` rows are split into one contiguous part per worker,
+//! and a second crew round per mini-batch updates the parts concurrently;
+//! the kernels walk the parts in ascending row order.
+//!
 //! The trained bits equal those of the row-major, multiply-every-term
-//! arithmetic on finite data. Every output still sums its terms in
-//! ascending input order; products commute exactly; `w·1.0 ≡ w`; and a
-//! skipped `w·0.0` term is `±0.0` added to an accumulator that starts at
-//! `+0.0` and therefore can never be `−0.0`, which leaves it unchanged.
-//! The fold and the momentum step are element-wise, so their layout is
-//! free; they run fused, one pass over each parameter array per
-//! mini-batch.
+//! arithmetic on finite data, at every thread count. Every output still
+//! sums its terms in ascending input order; products commute exactly;
+//! `w·1.0 ≡ w`; and a skipped `w·0.0` term is `±0.0` added to an
+//! accumulator that starts at `+0.0` and therefore can never be `−0.0`,
+//! which leaves it unchanged. The fold and the momentum step are
+//! element-wise, so neither the layout nor the part split reorders them.
 //!
 //! The steady-state inner loop is allocation-free: activations, deltas,
 //! shard index lists and gradient accumulators all live in per-shard
@@ -194,7 +202,9 @@ impl fmt::Display for TrainReport {
 }
 
 /// One row block of every layer's input-major parameters: the unit a
-/// momentum-update task owns. Part 0 also holds the biases.
+/// momentum-update task owns. Part 0 also holds the biases. Aligned like
+/// [`Workspace`], so each part's lock word sits on its own cache lines.
+#[repr(align(128))]
 struct Part {
     /// Per layer: this part's rows of `Wᵀ`, row-major, `outputs` wide.
     weights: Vec<Vec<f64>>,
@@ -413,7 +423,10 @@ impl SetBits {
 
 /// Per-shard scratch: every buffer forward + backward touches, allocated
 /// once per training run and reused by whichever worker claims the shard,
-/// so the steady-state inner loop performs zero heap allocation.
+/// so the steady-state inner loop performs zero heap allocation. Aligned
+/// to its own cache lines: neighbouring shards run on different cores,
+/// and a shared line would bounce between them on every sample.
+#[repr(align(128))]
 struct Workspace {
     /// Per-layer activations, `acts[l].len() == outputs of layer l`.
     acts: Vec<Vec<f64>>,
@@ -705,11 +718,12 @@ impl Trainer {
         let set_bits = SetBits::of(data);
 
         // Shared state for the crew: the shuffle order, the network split
-        // into one part per worker (read by shard tasks, each part written
-        // by its own update task), and one workspace per shard slot —
-        // per-*shard*, not per-worker, so accumulation groups are fixed by
-        // the partition and the ordered fold is thread-count invariant.
-        // The part split only decides which task updates which elements.
+        // into row parts — one per worker when each gets at least
+        // `MIN_PART_PARAMS` — read by shard tasks and each written by its
+        // own update task, and one workspace per shard slot — per-*shard*,
+        // not per-worker, so accumulation groups are fixed by the
+        // partition and the ordered fold is thread-count invariant. The
+        // part split only decides which task updates which elements.
         let order: Mutex<Vec<usize>> = Mutex::new((0..n).collect());
         let parts = workers.min(mlp.param_count() / MIN_PART_PARAMS).max(1);
         let net = InputMajor::new(mlp, parts);

@@ -14,11 +14,11 @@
 //! whole round of work. So between rounds an idle worker first spins on
 //! the published round number, and the caller waiting for a round's
 //! stragglers spins on the count of unfinished tasks, each for at most
-//! [`SPIN_BUDGET`]; only then do they park on a condvar. A round
+//! `SPIN_BUDGET` (150 µs); only then do they park on a condvar. A round
 //! dispatched within the budget is picked up without a syscall, and a
 //! notify is sent only when someone is actually parked. Threads spin only
-//! when the crew has no more threads than the machine
-//! ([`crate::hardware_threads`]): an oversubscribed crew would
+//! when the crew has no more threads than the machine has hardware
+//! threads: an oversubscribed crew would
 //! spin on the very cores its peers need, so it always parks.
 //!
 //! The design stays inside safe Rust (the crate forbids `unsafe` outside
@@ -59,7 +59,7 @@ const INDEX_MASK: u64 = (1 << INDEX_BITS) - 1;
 
 /// Longest an idle worker, or the caller waiting for a round's
 /// stragglers, spins before parking on a condvar.
-pub const SPIN_BUDGET: Duration = Duration::from_micros(150);
+pub(crate) const SPIN_BUDGET: Duration = Duration::from_micros(150);
 
 /// Spin iterations between two reads of the clock.
 const SPINS_PER_CLOCK_READ: u32 = 64;
@@ -78,10 +78,15 @@ struct Shared<'a> {
     /// never claim (or disturb) an index of the current one.
     cursor: AtomicU64,
     /// The latest dispatched round (`State::round`), for spinning workers.
+    /// Only a wake-up hint: a worker that sees it change reads the round
+    /// itself under the state lock.
     round: AtomicU64,
-    /// Tasks of the round in flight that have not finished yet.
+    /// Tasks of the round in flight that have not finished yet. Each
+    /// task's `fetch_sub` (`AcqRel`) releases its writes, and the
+    /// caller's `Acquire` load that sees zero acquires all of them.
     remaining: AtomicUsize,
-    /// Set once when the body returns; spinning workers watch it too.
+    /// Set once, under the state lock, when the body returns; spinning
+    /// workers watch it too.
     shutdown: AtomicBool,
     /// Whether idle threads spin before parking.
     spin: bool,
@@ -244,7 +249,7 @@ impl ThreadPool {
     }
 }
 
-/// Spin until `ready()` holds or [`SPIN_BUDGET`] has passed.
+/// Spin until `ready()` holds or `SPIN_BUDGET` has passed.
 fn spin_until(ready: impl Fn() -> bool) {
     let start = Instant::now();
     loop {
@@ -520,7 +525,7 @@ mod tests {
 
     #[test]
     fn back_to_back_rounds_complete_on_the_spin_path() {
-        let threads = 2.min(crate::hardware_threads()).max(1);
+        let threads = 2.min(crate::pool::hardware_threads()).max(1);
         let pool = ThreadPool::new(threads);
         assert!(pool.crew(|_, _| {}, |crew| crew.spins()));
         // Hundreds of rounds dispatched with no gap: the spinning workers
@@ -532,7 +537,7 @@ mod tests {
     fn rounds_after_a_gap_longer_than_the_spin_budget_park_and_wake() {
         let gap = SPIN_BUDGET * 20;
         let parks = checked_rounds(2, 8, gap);
-        if crate::hardware_threads() >= 2 {
+        if crate::pool::hardware_threads() >= 2 {
             // The idle worker outlives its spin budget in every gap, so
             // it must have parked, and each round must still wake it.
             assert!(parks > 0, "no thread parked across {gap:?} gaps");
@@ -558,7 +563,7 @@ mod tests {
 
     #[test]
     fn lowest_index_panic_is_re_raised_on_every_spinning_round() {
-        let threads = 2.min(crate::hardware_threads()).max(1);
+        let threads = 2.min(crate::pool::hardware_threads()).max(1);
         let pool = ThreadPool::new(threads);
         let completed = AtomicUsize::new(0);
         pool.crew(
@@ -588,7 +593,7 @@ mod tests {
 
     #[test]
     fn oversubscribed_crew_completes_without_spinning() {
-        let threads = crate::hardware_threads() + 2;
+        let threads = crate::pool::hardware_threads() + 2;
         let pool = ThreadPool::new(threads);
         assert!(!pool.crew(|_, _| {}, |crew| crew.spins()));
         let _ = checked_rounds(threads, 50, Duration::ZERO);

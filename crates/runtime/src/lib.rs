@@ -15,8 +15,9 @@
 //! * [`Crew`] — a persistent fork-join crew ([`ThreadPool::crew`]):
 //!   workers spawn once and then execute any number of dispatched rounds
 //!   of the same borrowed task closure, so an iterative hot loop (the
-//!   trainer's per-mini-batch shards) pays a condvar wake per round
-//!   instead of a thread spawn.
+//!   trainer's per-mini-batch shards) pays a few atomic operations per
+//!   round while the crew spins, a condvar wake once it has parked, and
+//!   never a thread spawn.
 //! * [`ChipPool`] — N independently manufactured [`Chip`] instances (each
 //!   with its own `(root_seed, chip_index)`-derived write-noise draw).
 //! * [`Engine`] — the one in-process front door to a pool: a [`PlacementPolicy`]
@@ -93,5 +94,5 @@ pub use policy::{
     CostModel, LeastLoaded, PlacementPolicy, PoolState, RoundRobin, SizeAware, WearAware,
     QUARANTINE_COST,
 };
-pub use pool::{hardware_threads, resolve_threads, ThreadPool};
+pub use pool::{resolve_threads, ThreadPool};
 pub use stats::{json_escape, json_num, percentile, ChipStats, ServeStats};

@@ -40,7 +40,7 @@ enum TaskOutcome<R> {
 /// process: on Linux each call re-reads the cgroup CPU quota, tens of
 /// microseconds — as much as a whole training epoch of a small network.
 #[must_use]
-pub fn hardware_threads() -> usize {
+pub(crate) fn hardware_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
         std::thread::available_parallelism()
@@ -50,7 +50,8 @@ pub fn hardware_threads() -> usize {
 }
 
 /// The number of workers a `threads` knob resolves to: the value itself,
-/// or [`hardware_threads`] when it is `0` ("auto").
+/// or [`std::thread::available_parallelism`] (read once per process) when
+/// it is `0` ("auto").
 #[must_use]
 pub fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
