@@ -125,14 +125,14 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `r` is out of bounds.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [f64] {
         assert!(r < self.rows, "row {r} out of bounds");
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// The `cols × rows` transpose.
     #[must_use]
-    pub fn transpose(&self) -> Matrix {
+    pub(crate) fn transpose(&self) -> Matrix {
         Self::from_fn(self.cols, self.rows, |r, c| self.data[c * self.cols + r])
     }
 
