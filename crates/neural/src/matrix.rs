@@ -243,6 +243,25 @@ impl Matrix {
         }
     }
 
+    /// Fused rank-1 update `A += α·u·vᵀ` with **no** zero-skip branch:
+    /// for a dense `u`, where [`add_outer`](Self::add_outer)'s sparsity
+    /// test would only mispredict. Identical results on finite data
+    /// (skipping a `0.0·v` contribution equals adding it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u.len() != rows` or `v.len() != cols`.
+    pub fn rank_one_add(&mut self, alpha: f64, u: &[f64], v: &[f64]) {
+        assert_eq!(u.len(), self.rows, "rank-1 row dimension mismatch");
+        assert_eq!(v.len(), self.cols, "rank-1 column dimension mismatch");
+        for (row, &ur) in self.data.chunks_exact_mut(self.cols).zip(u) {
+            let s = alpha * ur;
+            for (a, b) in row.iter_mut().zip(v) {
+                *a += s * b;
+            }
+        }
+    }
+
     /// `A += α·B` element-wise.
     ///
     /// # Panics
@@ -430,6 +449,37 @@ mod tests {
         m.add_outer(2.0, &[1.0, -1.0], &[1.0, 2.0, 3.0]);
         assert_eq!(m.row(0), &[2.0, 4.0, 6.0]);
         assert_eq!(m.row(1), &[-2.0, -4.0, -6.0]);
+    }
+
+    #[test]
+    fn rank_one_add_matches_naive_outer_product_loop() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut m = Matrix::random_uniform(5, 7, 1.0, &mut rng);
+        let naive_base = m.clone();
+        let u: Vec<f64> = (0..5).map(|i| (i as f64 - 2.0) * 0.7).collect(); // includes u[2] == 0
+        let v: Vec<f64> = (0..7).map(|i| (i as f64 * 1.3).sin()).collect();
+        let alpha = -0.35;
+        m.rank_one_add(alpha, &u, &v);
+        let mut naive = naive_base.clone();
+        for r in 0..5 {
+            for c in 0..7 {
+                naive[(r, c)] += alpha * u[r] * v[c];
+            }
+        }
+        for r in 0..5 {
+            for c in 0..7 {
+                assert!(
+                    (m[(r, c)] - naive[(r, c)]).abs() < 1e-15,
+                    "({r},{c}): {} vs {}",
+                    m[(r, c)],
+                    naive[(r, c)]
+                );
+            }
+        }
+        // And bit-identical to the branchy add_outer on the same inputs.
+        let mut branchy = naive_base;
+        branchy.add_outer(alpha, &u, &v);
+        assert_eq!(m.as_slice(), branchy.as_slice());
     }
 
     #[test]

@@ -177,19 +177,34 @@ impl Mlp {
     }
 
     /// Forward pass that returns the activation of *every* layer, starting
-    /// with the input itself: `trace[l + 1]` is the activation of layer `l`.
+    /// with the input itself — the trace backprop consumes.
+    #[must_use]
+    pub fn forward_trace(&self, x: &[f64]) -> Vec<Vec<f64>> {
+        let mut trace = Vec::new();
+        self.forward_trace_into(x, &mut trace);
+        trace
+    }
+
+    /// Forward pass recording every layer activation into `trace`, reusing
+    /// its buffers: after the call `trace[0]` is the input and
+    /// `trace[l + 1]` the activation of layer `l`. Buffers are (re)sized
+    /// only when the shape changes, so steady-state reuse — the trainer's
+    /// inner loop — performs zero heap allocation.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != input_dim()`.
-    #[must_use]
-    pub fn forward_trace(&self, x: &[f64]) -> Vec<Vec<f64>> {
-        let mut trace = vec![x.to_vec()];
-        for layer in &self.layers {
-            let next = layer.forward(trace.last().expect("the input is traced"));
-            trace.push(next);
+    pub fn forward_trace_into(&self, x: &[f64], trace: &mut Vec<Vec<f64>>) {
+        assert_eq!(x.len(), self.input_dim(), "forward_trace_into input dim");
+        trace.resize_with(self.layers.len() + 1, Vec::new);
+        trace[0].resize(x.len(), 0.0);
+        trace[0].copy_from_slice(x);
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (prev, rest) = trace.split_at_mut(l + 1);
+            let out = &mut rest[0];
+            out.resize(layer.outputs(), 0.0);
+            layer.forward_into(&prev[l], out);
         }
-        trace
     }
 }
 
@@ -325,6 +340,25 @@ mod tests {
         assert_eq!(trace.len(), 4);
         assert_eq!(trace[0], x.to_vec());
         assert_eq!(trace[3], net.forward(&x));
+    }
+
+    #[test]
+    fn forward_trace_into_reuses_buffers_bitwise() {
+        let net = MlpBuilder::new(&[3, 5, 2]).seed(11).build();
+        let mut trace = Vec::new();
+        // First call sizes the buffers; later calls must reuse them and
+        // agree bit-for-bit with the allocating version.
+        for (i, x) in [[0.1, 0.2, 0.3], [0.9, -0.4, 0.0], [0.5, 0.5, 0.5]]
+            .iter()
+            .enumerate()
+        {
+            net.forward_trace_into(x, &mut trace);
+            assert_eq!(trace, net.forward_trace(x), "call {i}");
+        }
+        // A stale trace from a *different* shape is resized, not trusted.
+        let other = MlpBuilder::new(&[2, 7, 4]).seed(1).build();
+        other.forward_trace_into(&[0.3, 0.6], &mut trace);
+        assert_eq!(trace, other.forward_trace(&[0.3, 0.6]));
     }
 
     #[test]

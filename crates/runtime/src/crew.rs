@@ -101,6 +101,7 @@ struct State {
     /// Whether the caller is parked on `done`.
     caller_parked: bool,
     /// Times any thread parked, for tests of the spin/park paths.
+    #[cfg(test)]
     parks: u64,
     /// Lowest-indexed panic of the round in flight, if any.
     panic: Option<(usize, Box<dyn std::any::Any + Send + 'static>)>,
@@ -160,7 +161,10 @@ impl Crew<'_> {
         let mut st = shared.state.lock().expect("crew state");
         while !finished() {
             st.caller_parked = true;
-            st.parks += 1;
+            #[cfg(test)]
+            {
+                st.parks += 1;
+            }
             st = shared.done.wait(st).expect("crew state");
         }
         st.caller_parked = false;
@@ -214,6 +218,7 @@ impl ThreadPool {
                 tasks: 0,
                 parked_workers: 0,
                 caller_parked: false,
+                #[cfg(test)]
                 parks: 0,
                 panic: None,
             }),
@@ -286,7 +291,10 @@ fn worker_loop(shared: &Shared<'_>) {
                     break;
                 }
                 st.parked_workers += 1;
-                st.parks += 1;
+                #[cfg(test)]
+                {
+                    st.parks += 1;
+                }
                 st = shared.go.wait(st).expect("crew state");
                 st.parked_workers -= 1;
             }
