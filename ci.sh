@@ -11,6 +11,16 @@ if grep -rn "rand\|proptest\|criterion" --include=Cargo.toml Cargo.toml crates/;
     exit 1
 fi
 
+echo "==> one compute-thread spawn site (ThreadPool::crew)"
+# Compute threads start only in the crew (par_map and the engine's
+# per-chip fan-outs are crew rounds). The exceptions are the event
+# server's long-lived threads and the throughput bench's TCP client.
+if grep -rnE "thread::scope|scope\.spawn|thread::spawn" crates/*/src |
+    grep -vE "^crates/(runtime/src/crew\.rs|runtime/src/net/server\.rs|bench/src/bin/throughput\.rs):"; then
+    echo "ERROR: a thread is started outside ThreadPool::crew" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 

@@ -39,7 +39,7 @@
 use std::time::Duration;
 
 use mei::{manufacture_fleet, MeiConfig, MeiRcs};
-use mei_bench::load::schedule;
+use mei_bench::load::{closed_rate, schedule};
 use mei_bench::ramp::{ramp_to_knee, sla_search, RampConfig, SlaConfig};
 use mei_bench::{
     fast_mode, format_table, measure_window, table1_setups, ExperimentConfig,
@@ -131,8 +131,10 @@ fn main() {
         EXPERIMENT_WRITE_SIGMA,
         FleetConfig::new(cfg.seed),
     );
+    // Start the ramp from the measured closed-loop rate, so its steps can
+    // reach the knee instead of ending at a fixed ceiling.
     let ramp_config = RampConfig {
-        start_rps: 50.0,
+        start_rps: (closed_rate(fleet1.engine(0), &inputs, window) * 0.15).max(10.0),
         growth: if fast { 2.0 } else { 1.5 },
         max_steps: if fast { 6 } else { 10 },
         knee_factor: 4.0,

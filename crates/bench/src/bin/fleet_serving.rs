@@ -54,7 +54,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mei::{manufacture_chips, manufacture_fleet, MeiConfig, MeiRcs};
-use mei_bench::load::{closed_rate, schedule};
+use mei_bench::load::{closed_rate, schedule, worst_pool};
 use mei_bench::ramp::{ramp_to_knee, sla_search, RampConfig, SlaConfig, SlaReport};
 use mei_bench::{
     fast_mode, format_table, measure_window, table1_setups, ExperimentConfig,
@@ -63,7 +63,7 @@ use mei_bench::{
 use neural::TrainConfig;
 use runtime::{
     json_num, BatchItem, Chip, ChipPool, EjectReason, Engine, Fleet, FleetConfig, RoundRobin,
-    ServeStats, SlaPoint, Transition,
+    ServeStats, SlaPoint, ThreadPool, Transition,
 };
 
 const CHIPS_PER_POOL: usize = 2;
@@ -72,10 +72,9 @@ const WORKLOAD: &str = "inversek2j";
 /// Offer the fleet an aggregate open-loop load: the schedule is split
 /// across the workload's replica set by the fleet's own deterministic
 /// rotation (request `n` → replica `n mod R`), each pool serves its
-/// share concurrently, and the fleet-level stats take the **worst**
-/// pool's percentiles. That bound is sound for SLA search: the mixture
-/// of per-pool latency distributions meets a p99 target whenever every
-/// component does.
+/// share concurrently (one `par_map` task per pool), and the fleet-level
+/// stats are [`worst_pool`]'s: pooled counts, the **worst** pool's
+/// percentiles.
 fn fleet_measure<C: Chip>(
     fleet: &Fleet<C>,
     inputs: &[Vec<f64>],
@@ -92,34 +91,14 @@ fn fleet_measure<C: Chip>(
         shares[pool].0.push(request);
         shares[pool].1.push(arrival);
     }
-    let pool_stats: Vec<ServeStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shares
-            .iter()
-            .enumerate()
-            .filter(|(_, (requests, _))| !requests.is_empty())
-            .map(|(pool, (requests, arrivals))| {
-                scope.spawn(move || fleet.engine(pool).serve_open_loop(requests, arrivals).stats)
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pool serve"))
-            .collect()
+    let busy: Vec<usize> = (0..shares.len())
+        .filter(|&pool| !shares[pool].0.is_empty())
+        .collect();
+    let pool_stats = ThreadPool::new(busy.len()).par_map(&busy, |_, &pool| {
+        let (requests, arrivals) = &shares[pool];
+        fleet.engine(pool).serve_open_loop(requests, arrivals).stats
     });
-    let worst_p99 = pool_stats
-        .iter()
-        .map(|s| s.p99_latency_us)
-        .fold(f64::NAN, f64::max);
-    let wall = pool_stats
-        .iter()
-        .map(|s| s.wall_secs)
-        .fold(0.0f64, f64::max);
-    ServeStats::from_latencies_us(
-        "fleet_worst_pool",
-        &[worst_p99],
-        Duration::from_secs_f64(wall.max(f64::MIN_POSITIVE)),
-        vec![],
-    )
+    worst_pool(&pool_stats)
 }
 
 /// A chip that can be broken at runtime: `infer` panics while the

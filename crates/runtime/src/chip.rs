@@ -13,8 +13,8 @@
 //!   chip `i` is the same device on every run and for every pool size ≥ i;
 //! * [`Engine`](crate::Engine) serves the pool: it splits a request batch
 //!   across per-chip FIFO queues under a
-//!   [`PlacementPolicy`](crate::PlacementPolicy) and runs one worker
-//!   thread per chip;
+//!   [`PlacementPolicy`](crate::PlacementPolicy) and runs each chip's
+//!   queue as one [`ThreadPool::par_map`](crate::ThreadPool::par_map) task;
 //! * placement is decided up front from request *cost*, so the request →
 //!   chip assignment — and therefore every output bit — is a pure
 //!   function of the batch, never of thread timing.

@@ -1,12 +1,12 @@
-//! A persistent fork-join crew for iterative algorithms.
+//! A fork-join crew: the one place the runtime starts compute threads.
 //!
-//! [`ThreadPool::par_map`] spawns its workers per call. That is fine for
-//! coarse batches (Monte-Carlo trials, per-sample scoring) but prohibitive
-//! for an iterative hot loop: one mini-batch of backprop is tens of
-//! microseconds of arithmetic — about the cost of a single thread spawn.
-//! [`ThreadPool::crew`] spawns the workers **once**, then lets the caller
+//! [`ThreadPool::crew`] spawns its workers **once**, then lets the caller
 //! dispatch any number of rounds over the same task closure without
-//! touching the OS again.
+//! touching the OS again. An iterative hot loop (one mini-batch of
+//! backprop is tens of microseconds of arithmetic, about the cost of a
+//! single thread spawn) dispatches thousands of rounds on one crew;
+//! [`ThreadPool::par_map`] and the engine's per-chip fan-outs are a crew
+//! of one round.
 //!
 //! ## Spin, then park
 //!
@@ -21,12 +21,11 @@
 //! threads: an oversubscribed crew would
 //! spin on the very cores its peers need, so it always parks.
 //!
-//! The design stays inside safe Rust (the crate forbids `unsafe` outside
-//! the affinity shim): the one task closure is created *before* the
-//! workers are spawned, so they can borrow it directly for the whole
-//! session. Anything that varies per round travels either through the
-//! `usize` argument of [`Crew::run`] or through shared state
-//! (`Mutex`/`RwLock`/atomics) the closure captures.
+//! The design stays inside safe Rust (the crate forbids `unsafe`): the
+//! one task closure is created *before* the workers are spawned, so they
+//! can borrow it directly for the whole session. Anything that varies per
+//! round travels either through the `usize` argument of [`Crew::run`] or
+//! through shared state (`Mutex`/`RwLock`/atomics) the closure captures.
 //!
 //! ## Determinism
 //!
@@ -39,11 +38,11 @@
 //!
 //! ## Panic policy
 //!
-//! Identical to [`ThreadPool::par_map`]: a panicking task is caught at the
-//! task boundary, every other task of the round still runs, and the
-//! payload of the lowest-indexed panicking task is re-raised in the
-//! caller. A panic in the *body* closure still shuts the workers down
-//! before re-raising, so the scope never deadlocks.
+//! A panicking task is caught at the task boundary, every other task of
+//! the round still runs, and the payload of the lowest-indexed panicking
+//! task is re-raised in the caller. A panic in the *body* closure still
+//! shuts the workers down before re-raising, so the scope never
+//! deadlocks.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -232,20 +231,22 @@ impl ThreadPool {
         };
         std::thread::scope(|scope| {
             let shared = &shared;
-            for w in 1..workers {
-                scope.spawn(move || {
-                    // Advisory pinning; worker 0 is the caller's thread.
-                    let _ = crate::affinity::pin_worker(w);
-                    worker_loop(shared);
-                });
+            for _ in 1..workers {
+                scope.spawn(move || worker_loop(shared));
             }
             let crew = Crew { shared };
             let out = catch_unwind(AssertUnwindSafe(|| body(&crew)));
-            {
-                let _st = shared.state.lock().expect("crew state");
+            // A worker checks `shutdown` under the state lock before it
+            // parks, so only the workers already parked need a wake-up;
+            // a crew of one thread makes no syscall at all.
+            let wake = {
+                let st = shared.state.lock().expect("crew state");
                 shared.shutdown.store(true, Ordering::SeqCst);
+                st.parked_workers > 0
+            };
+            if wake {
+                shared.go.notify_all();
             }
-            shared.go.notify_all();
             match out {
                 Ok(value) => value,
                 Err(payload) => resume_unwind(payload),

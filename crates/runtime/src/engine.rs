@@ -13,9 +13,9 @@
 //!
 //! * **Batch** — [`Engine::serve`] / [`Engine::serve_open_loop`]: the
 //!   whole request batch is assigned up front, split into per-chip FIFO
-//!   queues, and run on one worker thread per chip. A worker *coalesces*
-//!   contiguous runs of already-arrived requests into back-to-back
-//!   batches (no arrival re-check between them), bounded by
+//!   queues, and run as one [`ThreadPool::par_map`] task per chip. A
+//!   worker *coalesces* contiguous runs of already-arrived requests into
+//!   back-to-back batches (no arrival re-check between them), bounded by
 //!   [`Engine::with_coalesce`].
 //! * **Stream** — [`Engine::session`] + [`Engine::serve_one`]: requests
 //!   arrive one at a time (a network connection), each placed against the
@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 use crate::admission::{AdmissionConfig, AdmittedOutcome, Decision, Gate, GateStats};
 use crate::chip::{Chip, ChipPool, ServeOutcome};
 use crate::policy::{self, CostModel, LeastLoaded, PlacementPolicy, PoolState};
+use crate::pool::ThreadPool;
 use crate::stats::ServeStats;
 
 /// A chip pool bound to a placement policy, cost model and coalescing
@@ -489,13 +490,14 @@ impl<C: Chip> Engine<C> {
     /// session's accumulated state, the gate (when `arrival_secs` is
     /// `Some` and admission is enabled) offered each `(chip, cost,
     /// arrival)` in turn, shed requests committing nothing. Execution
-    /// then groups admitted requests per chip and runs the busy chips on
-    /// scoped threads (inline when the batch lands on a single chip), so
-    /// a pipelining client overlaps the whole pool. Chips are
-    /// deterministic pure functions and placement is decided before
-    /// execution, so the items — chip ids and output bits — are identical
-    /// to feeding the same sequence through `serve_one`/`offer_one` one
-    /// request at a time, whatever the threading.
+    /// then groups admitted requests per chip and runs the busy chips as
+    /// one [`ThreadPool::par_map`] task each, on a pool of one thread per
+    /// busy chip (a single busy chip runs on the calling thread), so a
+    /// pipelining client overlaps the whole pool. Chips are deterministic
+    /// pure functions and placement is decided before execution, so the
+    /// items — chip ids and output bits — are identical to feeding the
+    /// same sequence through `serve_one`/`offer_one` one request at a
+    /// time, whatever the threading.
     ///
     /// A panicking `infer` is contained at the chip boundary and reported
     /// as [`BatchItem::Failed`]; sibling requests still complete.
@@ -551,40 +553,17 @@ impl<C: Chip> Engine<C> {
         for &(request, chip) in &admitted {
             queues[chip].push(request);
         }
-        let busy_chips = queues.iter().filter(|q| !q.is_empty()).count();
-        if busy_chips <= 1 || admitted.len() <= 1 {
-            for &(request, chip) in &admitted {
-                items[request] = Some(run_one(chip, request));
-            }
-        } else {
-            let per_chip: Vec<Vec<(usize, BatchItem)>> = std::thread::scope(|scope| {
-                let run_one = &run_one;
-                let handles: Vec<_> = queues
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, queue)| !queue.is_empty())
-                    .map(|(chip, queue)| {
-                        scope.spawn(move || {
-                            // Advisory: keep this chip's worker (and its
-                            // thread-local workspace) on one core.
-                            let _ = crate::affinity::pin_worker(chip);
-                            queue
-                                .iter()
-                                .map(|&request| (request, run_one(chip, request)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("chip worker does not panic"))
-                    .collect()
-            });
-            for worker in per_chip {
-                for (request, item) in worker {
-                    items[request] = Some(item);
-                }
-            }
+        let busy: Vec<usize> = (0..chips.len())
+            .filter(|&chip| !queues[chip].is_empty())
+            .collect();
+        let per_chip = ThreadPool::new(busy.len().max(1)).par_map(&busy, |_, &chip| {
+            queues[chip]
+                .iter()
+                .map(|&request| (request, run_one(chip, request)))
+                .collect::<Vec<_>>()
+        });
+        for (request, item) in per_chip.into_iter().flatten() {
+            items[request] = Some(item);
         }
         items
             .into_iter()
@@ -666,9 +645,11 @@ pub struct Served {
     pub output: Vec<f64>,
 }
 
-/// Execute a pre-assigned batch on one worker thread per chip, coalescing
-/// contiguous already-arrived requests into back-to-back runs (capped at
-/// `coalesce` when non-zero).
+/// Execute a pre-assigned batch as one [`ThreadPool::par_map`] task per
+/// chip, on a pool of one thread per chip so every chip runs concurrently
+/// (one of them on the calling thread). Each chip coalesces contiguous
+/// already-arrived requests into back-to-back runs (capped at `coalesce`
+/// when non-zero).
 ///
 /// # Panics
 ///
@@ -703,70 +684,49 @@ fn run_batch<C: Chip>(
 
     let arrival_of = |request: usize| arrivals.map_or(Duration::ZERO, |a| a[request]);
     let epoch = Instant::now();
-    let per_worker: Vec<WorkerLog> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chips
-            .iter()
-            .zip(&queues)
-            .enumerate()
-            .map(|(w, (chip, queue))| {
-                scope.spawn(move || {
-                    let _ = crate::affinity::pin_worker(w);
-                    let mut served = Vec::with_capacity(queue.len());
-                    let mut busy = Duration::ZERO;
-                    let mut batches = 0usize;
-                    let mut failures = 0usize;
-                    let mut i = 0usize;
-                    while i < queue.len() {
-                        // Wait for the head request, then coalesce every
-                        // queued request that has already arrived into
-                        // one contiguous batch.
-                        let head = arrival_of(queue[i]);
-                        let mut now = epoch.elapsed();
-                        if head > now {
-                            std::thread::sleep(head - now);
-                            now = epoch.elapsed();
-                        }
-                        let cap = if coalesce == 0 {
-                            queue.len()
-                        } else {
-                            (i + coalesce).min(queue.len())
-                        };
-                        let mut j = i + 1;
-                        while j < cap && arrival_of(queue[j]) <= now {
-                            j += 1;
-                        }
-                        batches += 1;
-                        for &request in &queue[i..j] {
-                            let start = epoch.elapsed();
-                            // Contain a panicking `infer` at the chip
-                            // boundary: the worker keeps draining its
-                            // queue (no deadlock, every other request on
-                            // this chip still completes) and the failure
-                            // is tallied instead of unwinding the pool.
-                            let output =
-                                catch_unwind(AssertUnwindSafe(|| chip.infer(&inputs[request])))
-                                    .ok();
-                            let done = epoch.elapsed();
-                            busy += done - start;
-                            if output.is_none() {
-                                failures += 1;
-                            }
-                            served.push((
-                                request,
-                                output,
-                                done.saturating_sub(arrival_of(request)),
-                            ));
-                        }
-                        i = j;
-                    }
-                    (served, busy, batches, failures)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("chip worker does not panic"))
-            .collect()
+    let per_worker: Vec<WorkerLog> = ThreadPool::new(chips.len()).par_map(&queues, |w, queue| {
+        let chip = &chips[w];
+        let mut served = Vec::with_capacity(queue.len());
+        let mut busy = Duration::ZERO;
+        let mut batches = 0usize;
+        let mut failures = 0usize;
+        let mut i = 0usize;
+        while i < queue.len() {
+            // Wait for the head request, then coalesce every queued
+            // request that has already arrived into one contiguous batch.
+            let head = arrival_of(queue[i]);
+            let mut now = epoch.elapsed();
+            if head > now {
+                std::thread::sleep(head - now);
+                now = epoch.elapsed();
+            }
+            let cap = if coalesce == 0 {
+                queue.len()
+            } else {
+                (i + coalesce).min(queue.len())
+            };
+            let mut j = i + 1;
+            while j < cap && arrival_of(queue[j]) <= now {
+                j += 1;
+            }
+            batches += 1;
+            for &request in &queue[i..j] {
+                let start = epoch.elapsed();
+                // Contain a panicking `infer` at the chip boundary: the
+                // worker keeps draining its queue (no deadlock, every
+                // other request on this chip still completes) and the
+                // failure is tallied instead of unwinding the pool.
+                let output = catch_unwind(AssertUnwindSafe(|| chip.infer(&inputs[request]))).ok();
+                let done = epoch.elapsed();
+                busy += done - start;
+                if output.is_none() {
+                    failures += 1;
+                }
+                served.push((request, output, done.saturating_sub(arrival_of(request))));
+            }
+            i = j;
+        }
+        (served, busy, batches, failures)
     });
     let wall = epoch.elapsed();
 

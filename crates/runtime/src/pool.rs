@@ -1,12 +1,12 @@
-//! A work-stealing thread pool on `std::thread` + `std::sync`.
+//! A deterministic fork-join thread pool on `std::thread` + `std::sync`.
 //!
-//! The pool is *scoped*: [`ThreadPool::par_map`] spawns its workers inside
-//! [`std::thread::scope`], so task closures may borrow from the caller's
-//! stack — no `'static` bound, no `Arc` plumbing, no unsafe. Each worker
-//! owns a deque of task indices; it drains its own deque from the front
-//! and, when empty, steals from the *back* of a sibling's deque, so an
-//! uneven workload (one slow Monte-Carlo trial, one fast one) rebalances
-//! automatically.
+//! [`ThreadPool`] is a thread count, not a set of running threads: each
+//! [`ThreadPool::par_map`] call runs its tasks as one round of a
+//! [`crew`](ThreadPool::crew) sized to the batch, so task closures may
+//! borrow from the caller's stack — no `'static` bound, no `Arc`
+//! plumbing, no unsafe. The calling thread is a crew member; workers
+//! claim task indices from one atomic cursor, so an uneven workload (one
+//! slow Monte-Carlo trial, one fast one) still balances across the crew.
 //!
 //! ## Determinism
 //!
@@ -25,16 +25,8 @@
 //! lowest-indexed panicking task is re-raised in the caller. (Lowest
 //! index, not first observed, so even the failure mode is deterministic.)
 
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, OnceLock};
-
-/// What one task produced: its value, or the panic payload it raised.
-enum TaskOutcome<R> {
-    Done(R),
-    Panicked(Box<dyn std::any::Any + Send + 'static>),
-}
 
 /// [`std::thread::available_parallelism`] (1 if unknown), read once per
 /// process: on Linux each call re-reads the cgroup CPU quota, tens of
@@ -61,10 +53,10 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// A deterministic work-stealing thread pool.
+/// A deterministic fork-join thread pool.
 ///
-/// Cheap to construct (workers are spawned per batch, inside a scope);
-/// hold one wherever a `threads: usize` knob lives.
+/// Cheap to construct (it is only a worker count); hold one wherever a
+/// `threads: usize` knob lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadPool {
     threads: usize,
@@ -99,6 +91,10 @@ impl ThreadPool {
     /// index, see [`prng::substream`]) — bit-identical to the serial
     /// `items.iter().enumerate().map(...)` for every thread count.
     ///
+    /// The tasks run as one round of a crew of `min(threads, items.len())`
+    /// threads, the caller among them; with one thread they run inline on
+    /// the caller, in index order.
+    ///
     /// # Panics
     ///
     /// If tasks panic, every *other* task still completes and then the
@@ -110,64 +106,23 @@ impl ThreadPool {
         F: Fn(usize, &T) -> R + Sync,
     {
         let n = items.len();
-        let workers = self.threads.min(n).max(1);
-
-        // Per-worker deques of task indices: contiguous chunks, so a
-        // worker's own tasks are cache-friendly and steals take from the
-        // far end of a victim's range.
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| {
-                let lo = w * n / workers;
-                let hi = (w + 1) * n / workers;
-                Mutex::new((lo..hi).collect())
-            })
-            .collect();
-
-        let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
-        let mut first_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-
-        std::thread::scope(|scope| {
-            let queues = &queues;
-            let f = &f;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        // Best-effort, advisory: keeps worker w's shard hot
-                        // on one core under MEI_AFFINITY=compact.
-                        let _ = crate::affinity::pin_worker(w);
-                        let mut produced: Vec<(usize, TaskOutcome<R>)> = Vec::new();
-                        while let Some(i) = pop_or_steal(queues, w) {
-                            let outcome = match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
-                                Ok(value) => TaskOutcome::Done(value),
-                                Err(payload) => TaskOutcome::Panicked(payload),
-                            };
-                            produced.push((i, outcome));
-                        }
-                        produced
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let produced = handle.join().expect("pool worker caught task panics");
-                for (i, outcome) in produced {
-                    match outcome {
-                        TaskOutcome::Done(value) => slots[i] = Some(value),
-                        TaskOutcome::Panicked(payload) => {
-                            if first_panic.as_ref().is_none_or(|(j, _)| i < *j) {
-                                first_panic = Some((i, payload));
-                            }
-                        }
-                    }
-                }
-            }
-        });
-
-        if let Some((_, payload)) = first_panic {
-            resume_unwind(payload);
-        }
+        // `f` runs before the slot lock, so a panicking task cannot
+        // poison a slot.
+        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        ThreadPool::new(self.threads.min(n).max(1)).crew(
+            |_, i| {
+                let value = f(i, &items[i]);
+                *slots[i].lock().expect("result slot") = Some(value);
+            },
+            |crew| crew.run(0, n),
+        );
         slots
             .into_iter()
-            .map(|slot| slot.expect("every task index executed"))
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("result slot")
+                    .expect("every task index executed")
+            })
             .collect()
     }
 
@@ -196,25 +151,12 @@ impl Default for ThreadPool {
     }
 }
 
-/// Pop from our own deque's front, else steal from the back of the first
-/// non-empty sibling (scanning ring-wise from our right neighbour).
-fn pop_or_steal(queues: &[Mutex<VecDeque<usize>>], worker: usize) -> Option<usize> {
-    if let Some(i) = queues[worker].lock().expect("queue lock").pop_front() {
-        return Some(i);
-    }
-    for offset in 1..queues.len() {
-        let victim = (worker + offset) % queues.len();
-        if let Some(i) = queues[victim].lock().expect("queue lock").pop_back() {
-            return Some(i);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn resolve_threads_keeps_explicit_values() {
@@ -345,8 +287,8 @@ mod tests {
 
     #[test]
     fn work_stealing_drains_an_uneven_queue() {
-        // One long chunk of tasks; with 4 workers over 8 items the chunks
-        // are uneven in cost, and stealing must still complete them all.
+        // Uneven task costs: with 4 workers over 8 items one task is slow,
+        // and the shared claim cursor must still complete them all.
         let pool = ThreadPool::new(4);
         let items: Vec<u64> = (0..8).collect();
         let out = pool.par_map(&items, |i, &x| {
@@ -359,5 +301,34 @@ mod tests {
         });
         assert_eq!(out.len(), 8);
         assert_eq!(out[1..], items[1..]);
+    }
+
+    #[test]
+    fn par_map_runs_tasks_concurrently_when_threads_match_tasks() {
+        // Open-loop serving relies on this: one chip's sleep must not hold
+        // back another chip. Every task waits (bounded, so a failure
+        // cannot hang the suite) until all of them have started.
+        for n in [2usize, 4, 8] {
+            let arrived = AtomicUsize::new(0);
+            let saw_all = ThreadPool::new(n).par_map(&vec![(); n], |_, _| {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while arrived.load(Ordering::SeqCst) < n && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                arrived.load(Ordering::SeqCst) == n
+            });
+            assert!(
+                saw_all.iter().all(|&seen| seen),
+                "threads = {n}: {saw_all:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn single_thread_par_map_runs_on_the_caller() {
+        let caller = std::thread::current().id();
+        let ran_on = ThreadPool::new(1).par_map(&[0u8; 5], |_, _| std::thread::current().id());
+        assert!(ran_on.iter().all(|&id| id == caller));
     }
 }
